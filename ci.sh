@@ -15,6 +15,12 @@ go test ./...
 echo '== go test -race internal =='
 go test -race ./internal/...
 
+# Pool wait/wake stress (DESIGN.md §17): a lost wake-up in the pool's
+# park/handoff protocol would be a rare hang; fifty race-built
+# repetitions under a bounded timeout make it a fast failure instead.
+echo '== pool stress =='
+go test -race -count=50 -timeout 300s ./internal/pool/
+
 # Differential fuzz smoke: pinned seed range so the run is reproducible and
 # bounded (~30s incl. build); any divergence exits non-zero with a replay
 # command line.

@@ -47,6 +47,8 @@ type Metrics struct {
 	TreeNodeVisits atomic.Uint64 // tree-scheduler node traversals
 	WorkersStarted atomic.Uint64 // pool worker goroutines launched
 	PoolSteals     atomic.Uint64 // tasks a pool worker stole from another deque
+	PoolParks      atomic.Uint64 // permanent pool workers parking for lack of work
+	PoolWakeups    atomic.Uint64 // parked pool workers woken to run new work
 
 	// Lock-free admission counters (DESIGN.md §17): effectful submissions
 	// admitted by the zero-lock epoch-snapshot walk vs the locked descent.
@@ -130,6 +132,7 @@ type Snapshot struct {
 	ConflictChecks, ConflictHits     uint64
 	AdmissionScans, TreeNodeVisits   uint64
 	WorkersStarted, PoolSteals       uint64
+	PoolParks, PoolWakeups           uint64
 	AdmitFastpath, AdmitSlowpath     uint64
 	BatchSubmits, BatchTasks         uint64
 	BatchDescents                    uint64
@@ -174,6 +177,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		TreeNodeVisits:     m.TreeNodeVisits.Load(),
 		WorkersStarted:     m.WorkersStarted.Load(),
 		PoolSteals:         m.PoolSteals.Load(),
+		PoolParks:          m.PoolParks.Load(),
+		PoolWakeups:        m.PoolWakeups.Load(),
 		AdmitFastpath:      m.AdmitFastpath.Load(),
 		AdmitSlowpath:      m.AdmitSlowpath.Load(),
 		BatchSubmits:       m.BatchSubmits.Load(),
@@ -267,6 +272,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		},
 		func() error {
 			return counter("twe_pool_steals_total", "Tasks a pool worker stole from another worker's deque.", s.PoolSteals)
+		},
+		func() error {
+			return counter("twe_pool_parks_total", "Times a pool worker parked for lack of work.", s.PoolParks)
+		},
+		func() error {
+			return counter("twe_pool_wakeups_total", "Times a parked pool worker was woken to run new work.", s.PoolWakeups)
 		},
 		func() error {
 			return counter("twe_admit_fastpath_total", "Effectful submissions admitted by the lock-free fast path.", s.AdmitFastpath)

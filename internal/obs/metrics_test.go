@@ -28,6 +28,8 @@ func TestPrometheusGolden(t *testing.T) {
 	m.TreeNodeVisits.Store(55)
 	m.WorkersStarted.Store(2)
 	m.PoolSteals.Store(11)
+	m.PoolParks.Store(13)
+	m.PoolWakeups.Store(12)
 	m.AdmitFastpath.Store(40)
 	m.AdmitSlowpath.Store(8)
 	m.BatchSubmits.Store(3)
@@ -106,6 +108,12 @@ twe_pool_workers_started_total 2
 # HELP twe_pool_steals_total Tasks a pool worker stole from another worker's deque.
 # TYPE twe_pool_steals_total counter
 twe_pool_steals_total 11
+# HELP twe_pool_parks_total Times a pool worker parked for lack of work.
+# TYPE twe_pool_parks_total counter
+twe_pool_parks_total 13
+# HELP twe_pool_wakeups_total Times a parked pool worker was woken to run new work.
+# TYPE twe_pool_wakeups_total counter
+twe_pool_wakeups_total 12
 # HELP twe_admit_fastpath_total Effectful submissions admitted by the lock-free fast path.
 # TYPE twe_admit_fastpath_total counter
 twe_admit_fastpath_total 40

@@ -19,6 +19,13 @@
 // as the rings run dry or a blocked worker wants its token back), so
 // blocked tasks never strand queued work while the parallelism bound keeps
 // holding.
+//
+// Every wait in the pool has its own condition and every wake-up a reason
+// (DESIGN.md §17, "Work-stealing pool"): a parked worker sleeps on work
+// and is woken only when a unit needs it, with a run token already in
+// hand; a Block re-acquirer sleeps on token and is woken when one frees;
+// Quiesce sleeps on idle and is woken when pending reaches zero or the
+// pool closes.
 package pool
 
 import (
@@ -41,13 +48,16 @@ type Pool struct {
 	steals atomic.Uint64
 
 	mu         sync.Mutex
-	cond       *sync.Cond
-	overflow   []queued // spill list for full rings; guarded by mu
-	running    int      // tasks currently executing (holding a token)
-	active     int      // worker goroutines entitled to execute (≤ par)
-	pending    int      // submitted but not finished (for Quiesce)
-	sleepers   int      // permanent workers parked waiting for work
-	reacq      int      // Block callers waiting to re-acquire a token
+	work       sync.Cond // parked permanent workers wait here for a handoff
+	token      sync.Cond // Block callers wait here to re-acquire a token
+	idle       sync.Cond // Quiesce waits here for pending == 0
+	overflow   []queued  // spill list for full rings; guarded by mu
+	running    int       // tasks currently executing (holding a token)
+	active     int       // worker goroutines holding a token (≤ par)
+	pending    int       // submitted but not finished (for Quiesce)
+	sleepers   int       // parked workers not yet handed a token
+	handoffs   int       // tokens handed to parked workers, not yet claimed
+	reacq      int       // Block callers waiting to re-acquire a token
 	started    bool
 	closed     bool
 	nextWorker int // compensation-worker id allocator (> par)
@@ -65,7 +75,9 @@ func New(par int) *Pool {
 	for i := range p.deques {
 		p.deques[i] = newRing()
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.work.L = &p.mu
+	p.token.L = &p.mu
+	p.idle.L = &p.mu
 	return p
 }
 
@@ -131,16 +143,16 @@ func (p *Pool) submit(q queued) {
 	p.pending++
 	p.mu.Unlock()
 	p.push(q)
-	p.wake()
+	p.wake(1)
 }
 
 // SubmitWorkerIndexed enqueues n units of work sharing one function —
 // unit i runs fn(worker, i) — under a single accounting pass. This is the
 // flush a batched scheduler admission uses: enabling N tasks pays one
 // wakeup pass and one closure instead of N of each. Units are spread
-// round-robin across the worker rings so a batch fans out without
-// stealing. Semantically equivalent to SubmitWorker of n index-capturing
-// closures.
+// round-robin across the worker rings and up to n parked workers are
+// woken, so a batch fans out. Semantically equivalent to SubmitWorker of
+// n index-capturing closures.
 func (p *Pool) SubmitWorkerIndexed(fn func(worker, i int), n int) {
 	if n <= 0 {
 		return
@@ -156,7 +168,7 @@ func (p *Pool) SubmitWorkerIndexed(fn func(worker, i int), n int) {
 	for i := 0; i < n; i++ {
 		p.push(queued{fi: fn, i: i})
 	}
-	p.wake()
+	p.wake(n)
 }
 
 // startLocked lazily launches the permanent workers on first use.
@@ -186,17 +198,43 @@ func (p *Pool) push(q queued) {
 	p.mu.Unlock()
 }
 
-// wake gets the new work picked up: a sleeping permanent worker if there
-// is one, otherwise — when some workers are parked in Block and a token is
-// free — a compensation worker.
-func (p *Pool) wake() {
+// wake gets n just-pushed units picked up. Each free token goes to one
+// parked worker, so n units wake at most min(n, free tokens, sleepers)
+// of them; with tokens free and nobody parked (workers are blocked in
+// Block) one compensation worker is spawned instead. With no token free
+// nobody is woken: every token holder re-checks the queues under mu
+// before it parks or retires, and the push is ordered before this
+// section, so it will see the units.
+func (p *Pool) wake(n int) {
 	p.mu.Lock()
-	if p.sleepers > 0 {
-		p.cond.Broadcast()
-	} else if p.active < p.par && p.queuedLocked() > 0 {
+	n = min(n, p.par-p.active)
+	for ; n > 0 && p.sleepers > 0; n-- {
+		p.handoffLocked()
+	}
+	if n > 0 && p.queuedLocked() > 0 {
 		p.spawnCompLocked()
 	}
 	p.mu.Unlock()
+}
+
+// handoffLocked wakes one parked worker and hands it a token: active is
+// counted on its behalf here, so a woken worker never waits for one.
+// Caller holds mu and has checked sleepers > 0 and active < par.
+func (p *Pool) handoffLocked() {
+	p.sleepers--
+	p.handoffs++
+	p.active++
+	p.work.Signal()
+}
+
+// releaseLocked gives up the caller's token. A Block caller waiting to
+// re-acquire one is the only goroutine that waits for a token, so it is
+// the only one told.
+func (p *Pool) releaseLocked() {
+	p.active--
+	if p.reacq > 0 {
+		p.token.Signal()
+	}
 }
 
 // queuedLocked estimates the amount of queued-but-unclaimed work. Ring
@@ -222,6 +260,7 @@ func (p *Pool) findWork(slot int, rng *uint32) (queued, bool) {
 	p.mu.Lock()
 	if len(p.overflow) > 0 {
 		q := p.overflow[0]
+		p.overflow[0] = queued{} // the backing array must not pin the closure
 		p.overflow = p.overflow[1:]
 		p.mu.Unlock()
 		return q, true
@@ -276,29 +315,30 @@ func (p *Pool) workerLoop(slot int) {
 			p.mu.Unlock()
 			continue
 		}
-		if p.closed {
-			p.active--
-			p.cond.Broadcast()
-			p.mu.Unlock()
-			return
-		}
 		// Park, releasing the run token: an idle worker must not hold a
 		// token hostage while a task blocked in Block waits to re-acquire
 		// one (all the executing goroutines may be compensation workers).
-		p.active--
-		p.sleepers++
-		p.cond.Broadcast()
-		p.cond.Wait()
-		p.sleepers--
-		for p.active >= p.par && !p.closed {
-			p.cond.Wait()
-		}
-		p.active++
-		if p.closed && p.queuedLocked() == 0 {
-			p.active--
-			p.cond.Broadcast()
+		p.releaseLocked()
+		if p.closed {
 			p.mu.Unlock()
 			return
+		}
+		p.sleepers++
+		if p.tracer != nil {
+			p.tracer.Metrics().PoolParks.Add(1)
+		}
+		for p.handoffs == 0 && !p.closed {
+			p.work.Wait()
+		}
+		if p.handoffs == 0 {
+			// Woken by Shutdown, not by work: retire without a token.
+			p.sleepers--
+			p.mu.Unlock()
+			return
+		}
+		p.handoffs-- // the waker already counted this worker's token
+		if p.tracer != nil {
+			p.tracer.Metrics().PoolWakeups.Add(1)
 		}
 		p.mu.Unlock()
 	}
@@ -325,8 +365,7 @@ func (p *Pool) compLoop(id int) {
 	for {
 		p.mu.Lock()
 		if p.reacq > 0 || p.closed {
-			p.active--
-			p.cond.Broadcast()
+			p.releaseLocked()
 			p.mu.Unlock()
 			return
 		}
@@ -338,8 +377,7 @@ func (p *Pool) compLoop(id int) {
 				p.mu.Unlock()
 				continue
 			}
-			p.active--
-			p.cond.Broadcast()
+			p.releaseLocked()
 			p.mu.Unlock()
 			return
 		}
@@ -359,7 +397,7 @@ func (p *Pool) execute(worker int, q queued) {
 	p.pending--
 	p.noteRunningLocked()
 	if p.pending == 0 {
-		p.cond.Broadcast()
+		p.idle.Broadcast()
 	}
 	p.mu.Unlock()
 }
@@ -417,17 +455,21 @@ func (p *Pool) runOne(worker int, f queued) {
 // returning.
 func (p *Pool) Block(wait func()) {
 	p.mu.Lock()
-	p.active--
 	p.running--
 	p.noteRunningLocked()
-	if p.queuedLocked() > 0 {
-		if p.sleepers > 0 {
-			p.cond.Broadcast()
-		} else if p.active < p.par {
-			p.spawnCompLocked()
-		}
+	// The token passes straight to whoever runs the queued work — a
+	// parked sibling, else a compensation worker; with nothing queued it
+	// goes back to the pool, where a waiting re-acquirer may take it.
+	switch {
+	case p.queuedLocked() == 0:
+		p.releaseLocked()
+	case p.sleepers > 0:
+		p.active--
+		p.handoffLocked()
+	default:
+		p.active--
+		p.spawnCompLocked()
 	}
-	p.cond.Broadcast() // the freed token may unblock a re-acquirer
 	p.mu.Unlock()
 
 	wait()
@@ -435,7 +477,7 @@ func (p *Pool) Block(wait func()) {
 	p.mu.Lock()
 	p.reacq++
 	for p.active >= p.par {
-		p.cond.Wait()
+		p.token.Wait()
 	}
 	p.reacq--
 	p.active++
@@ -449,7 +491,7 @@ func (p *Pool) Block(wait func()) {
 func (p *Pool) Quiesce() {
 	p.mu.Lock()
 	for p.pending > 0 {
-		p.cond.Wait()
+		p.idle.Wait()
 	}
 	p.mu.Unlock()
 }
@@ -460,7 +502,7 @@ func (p *Pool) Shutdown() {
 	p.Quiesce()
 	p.mu.Lock()
 	p.closed = true
-	p.cond.Broadcast()
+	p.work.Broadcast()
 	p.mu.Unlock()
 }
 

@@ -44,12 +44,16 @@ type DebugSnapshot struct {
 	// Admit splits effectful admissions between the lock-free fast path
 	// and the locked slow path (DESIGN.md §17); a healthy conflict-free
 	// steady state shows fastpath ≫ slowpath. PoolSteals counts tasks a
-	// pool worker took from a sibling's deque.
+	// pool worker took from a sibling's deque; PoolParks and PoolWakeups
+	// count workers parking idle and being woken for new work, so
+	// wake-ups per op read straight off two scrapes.
 	Admit struct {
 		Fastpath uint64 `json:"fastpath"`
 		Slowpath uint64 `json:"slowpath"`
 	} `json:"admit"`
-	PoolSteals uint64 `json:"pool_steals"`
+	PoolSteals  uint64 `json:"pool_steals"`
+	PoolParks   uint64 `json:"pool_parks"`
+	PoolWakeups uint64 `json:"pool_wakeups"`
 
 	// Interner is the runtime effect-interner occupancy (§17): resident
 	// out of cap fully specified RPLs holding integer comparison ids.
@@ -96,6 +100,8 @@ func (s *Server) DebugSnapshot(topK int) DebugSnapshot {
 	d.Admit.Fastpath = ms.AdmitFastpath
 	d.Admit.Slowpath = ms.AdmitSlowpath
 	d.PoolSteals = ms.PoolSteals
+	d.PoolParks = ms.PoolParks
+	d.PoolWakeups = ms.PoolWakeups
 	d.Interner.Resident = s.rt.Interner().Resident()
 	d.Interner.Cap = s.rt.Interner().Cap()
 

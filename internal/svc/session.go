@@ -87,8 +87,8 @@ type session struct {
 
 	// ops counts store-visible served ops. It is written only inside
 	// this session's task bodies — serialized by the Session:[sid]
-	// effect, never concurrently — and read at drain, after the runtime
-	// has shut down.
+	// effect, never concurrently — and read by Server.sessionDone, after
+	// the writer has resolved every future the session submitted.
 	ops int64
 }
 

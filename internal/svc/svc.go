@@ -131,7 +131,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	live    map[*session]struct{}
-	all     []*session // every session ever accepted; ops summed at drain
+	doneOps int64 // store-visible ops of every closed session, for the drain audit
 	nextSID int
 
 	sessWg   sync.WaitGroup // live sessions
@@ -249,7 +249,6 @@ func (s *Server) acceptLoop() {
 		sess := newSession(s, s.nextSID, conn)
 		s.nextSID++
 		s.live[sess] = struct{}{}
-		s.all = append(s.all, sess)
 		s.sessWg.Add(1)
 		s.mu.Unlock()
 		s.m.ConnsAccepted.Add(1)
@@ -257,9 +256,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// sessionDone retires a session once its writer has resolved every
+// future it submitted, so sess.ops is final; only that count outlives
+// the session, which is then garbage.
 func (s *Server) sessionDone(sess *session) {
 	s.mu.Lock()
 	delete(s.live, sess)
+	s.doneOps += sess.ops
 	s.mu.Unlock()
 	s.m.ConnsClosed.Add(1)
 	s.sessWg.Done()
@@ -367,11 +370,8 @@ func (s *Server) Drain(timeout time.Duration) error {
 			probs = append(probs, fmt.Sprintf("%d isolation violation(s), first: %v", len(v), v[0]))
 		}
 	}
-	var ops int64
 	s.mu.Lock()
-	for _, sess := range s.all {
-		ops += sess.ops
-	}
+	ops := s.doneOps
 	s.mu.Unlock()
 	if served := s.m.Served.Load(); ops+s.m.PureHolds.Load() != served {
 		probs = append(probs, fmt.Sprintf("served accounting mismatch: store ops %d != served %d", ops, served))

@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,32 @@ func drainClean(t *testing.T, s *Server) {
 	}
 }
 
+// watchdog crashes the test binary if the test is still running after
+// d, printing every goroutine's stack and the scheduler's backlog, so a
+// hang fails in seconds instead of at go test's 10-minute timeout.
+func watchdog(t *testing.T, s *Server, d time.Duration) {
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		for n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			n = runtime.Stack(buf, true)
+		}
+		// Pending takes the scheduler's lock, which a wedged scheduler
+		// may hold: report it only if it answers promptly.
+		pending := "no answer within 1s"
+		ch := make(chan int, 1)
+		go func() { ch <- s.rt.Pending() }()
+		select {
+		case p := <-ch:
+			pending = fmt.Sprint(p)
+		case <-time.After(time.Second):
+		}
+		panic(fmt.Sprintf("%s still running after %v; rt.Pending() = %s\n\n%s", t.Name(), d, pending, buf[:n]))
+	})
+	t.Cleanup(func() { timer.Stop() })
+}
+
 // TestServeEndToEnd drives the full closed-loop generator against an
 // in-process server under both schedulers: pipelined mixed traffic with
 // scans and dyneff adds, per-connection oracle, final-state sweep, exact
@@ -38,6 +66,7 @@ func TestServeEndToEnd(t *testing.T) {
 		sched := sched
 		t.Run(sched, func(t *testing.T) {
 			s := startTestServer(t, Config{Sched: sched, Par: 4, Shards: 8, Keys: 128})
+			watchdog(t, s, 30*time.Second)
 			rep, err := RunLoad(LoadConfig{
 				Addr: s.Addr(), Conns: 8, Requests: 40, Pipeline: 4,
 				Seed: 3, Conflict: 0.3, ScanEvery: 10,
@@ -65,6 +94,7 @@ func TestServeEndToEnd(t *testing.T) {
 // (DebugSnapshot, Prometheus exposition) must report all of it.
 func TestLockFreeServeCounters(t *testing.T) {
 	s := startTestServer(t, Config{Sched: "tree-lockfree", Par: 4, Shards: 8, Keys: 128})
+	watchdog(t, s, 30*time.Second)
 	rep, err := RunLoad(LoadConfig{
 		Addr: s.Addr(), Conns: 4, Requests: 50, Pipeline: 1,
 		Seed: 11, Conflict: 0, ScanEvery: 10,
@@ -89,8 +119,12 @@ func TestLockFreeServeCounters(t *testing.T) {
 	if err := s.WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
+	if d.PoolParks == 0 || d.PoolWakeups == 0 {
+		t.Errorf("pool park/wake counters not reported: parks=%d wakeups=%d", d.PoolParks, d.PoolWakeups)
+	}
 	for _, want := range []string{"twe_admit_fastpath_total", "twe_admit_slowpath_total",
-		"twe_pool_steals_total", "twe_interner_resident"} {
+		"twe_pool_steals_total", "twe_pool_parks_total", "twe_pool_wakeups_total",
+		"twe_interner_resident"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics exposition missing %s", want)
 		}

@@ -264,14 +264,21 @@ func (s *Scheduler) tryFastSubmit(f *core.Future, st *futState, ready *[]*core.F
 // have captured one of them and registered waiters on it, and those waiter
 // registrations must survive into the locked placement (they drain at the
 // task's eventual Done, the paper's normal waiter lifecycle).
+//
+// An unwound effect's node is reset to nil, the "registered but not yet
+// placed" state that lockContainingNode waits out. The future joins the
+// waiting set before the locked insert places its effects, so the
+// liveness net may recheck it in that window; with a stale node pointer
+// that recheck would enable an effect that sits in no set, and the
+// insert would then file it a second time, where it outlives its task.
 func (s *Scheduler) retractToSlow(f *core.Future, st *futState, published int, ready *[]*core.Future) {
 	for _, e := range st.effs[:published] {
 		n := e.node.Load()
 		if n.fastDrop(e) {
-			// Still fast, never captured: unreachable now, plain resets are
-			// unobservable until the locked insert republishes the effect.
+			// Still fast, never captured: unreachable through the tree now.
 			e.enabled = false
 			e.setIdx = 0
+			e.node.Store(nil)
 			continue
 		}
 		// A locked checker captured it into the locked sets (and may have
@@ -281,6 +288,7 @@ func (s *Scheduler) retractToSlow(f *core.Future, st *futState, published int, r
 		nc.remove(e)
 		e.enabled = false
 		e.setIdx = 0
+		e.node.Store(nil)
 		nc.unlock()
 	}
 	for _, e := range st.effs[published:] {
