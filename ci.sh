@@ -12,6 +12,12 @@ go build ./...
 echo '== go test (tier 1) =='
 go test ./...
 
+# Benchmark harness tests: benchmark/ is a nested module (its go.mod
+# replaces twe with ../), so the tier-1 `go test ./...` never enters it.
+# Same offline toolchain settings as benchmark/run.sh.
+echo '== go test (benchmark harness) =='
+(cd benchmark && GOTOOLCHAIN=local GOPROXY=off go test ./...)
+
 echo '== go test -race internal =='
 go test -race ./internal/...
 

@@ -15,7 +15,10 @@
 // (/metrics), the effect-contention and request-tracing snapshot
 // (/debug/twe, DESIGN.md §14), Go profiling (/debug/pprof/) and expvar
 // (/debug/vars). -req-trace turns on per-request span tracing;
-// -trace writes a Chrome trace of the serving runtime at exit.
+// -trace writes a Chrome trace of the serving runtime at exit. Without
+// -trace, -req-trace, -eventlog or -trace-events the daemon keeps only
+// its metrics: no event ring, no wait-for attribution, no contention
+// profile (DESIGN.md §7).
 package main
 
 import (
@@ -45,7 +48,7 @@ var (
 	deadlineFlag    = flag.Duration("deadline", 0, "per-request deadline; late requests are shed (0 = none)")
 	isolFlag        = flag.Bool("isolcheck", false, "attach the isolation-oracle monitor")
 	reqTraceFlag    = flag.Bool("req-trace", false, "per-request span tracing + phase histograms + contention attribution")
-	traceEventsFlag = flag.Int("trace-events", 0, "tracer ring capacity per shard (0 = 4096, or 16384 with -req-trace)")
+	traceEventsFlag = flag.Int("trace-events", 0, "tracer ring capacity per shard (0 = no ring unless -trace/-req-trace/-eventlog is set: then 4096, or 16384 with -req-trace)")
 	traceFlag       = flag.String("trace", "", "write a Chrome trace here at exit")
 	elogFlag        = flag.String("eventlog", "", "write the JSONL event log here at exit, for twe-spec -refine")
 	metricsFlag     = flag.String("metrics-addr", "", "HTTP listen address for /metrics (empty = disabled)")
@@ -74,6 +77,9 @@ func main() {
 		ShardID:     *shardIDFlag,
 		Advertise:   *advertiseFlag,
 		PrepareHold: *prepareFlag,
+	}
+	if *traceFlag != "" && cfg.TraceEvents <= 0 && !cfg.ReqTrace {
+		cfg.TraceEvents = 4096 // the Chrome trace needs the event ring
 	}
 	if d := *holdFlag; d > 0 {
 		cfg.Hold = func(string, int) { time.Sleep(d) }

@@ -691,8 +691,10 @@ func (f *Future) markEnabled() bool {
 			// waited: charge the full admission wait to that RPL path.
 			tr.Contention().Observe(*p, lat)
 		}
-		tr.Emit(obs.Event{Kind: obs.KindEnable, Task: f.seq, Name: f.task.Name,
-			Detail: fmt.Sprintf("%dµs", lat/1e3)})
+		if tr.Recording() {
+			tr.Emit(obs.Event{Kind: obs.KindEnable, Task: f.seq, Name: f.task.Name,
+				Detail: fmt.Sprintf("%dµs", lat/1e3)})
+		}
 	}
 	return true
 }

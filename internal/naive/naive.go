@@ -45,9 +45,9 @@ var (
 func (s *Scheduler) Bind(rt *core.Runtime) { s.tracer = rt.Tracer() }
 
 // stallState is the per-future SchedState of this scheduler, used only
-// when tracing: it deduplicates conflict-stall events so a task waiting
-// behind one long-running conflicter emits one event per distinct
-// blocker, not one per rescan.
+// when the tracer records events: it deduplicates conflict-stall events
+// so a task waiting behind one long-running conflicter emits one event
+// per distinct blocker, not one per rescan.
 type stallState struct {
 	stalledOn atomic.Uint64
 	effStr    string // cached effect summary for stall events (under s.mu)
@@ -57,7 +57,7 @@ type stallState struct {
 // tasks.
 func (s *Scheduler) Submit(f *core.Future) {
 	s.mu.Lock()
-	if s.tracer != nil {
+	if s.tracer.Recording() {
 		f.SchedState = &stallState{}
 	}
 	s.queue = append(s.queue, f)
@@ -78,7 +78,7 @@ func (s *Scheduler) SubmitBatch(fs []*core.Future) {
 	}
 	s.mu.Lock()
 	for _, f := range fs {
-		if s.tracer != nil {
+		if s.tracer.Recording() {
 			f.SchedState = &stallState{}
 		}
 		s.queue = append(s.queue, f)
@@ -190,7 +190,9 @@ func (s *Scheduler) canEnableLocked(pos int, f *core.Future, prioritized bool) b
 }
 
 // traceStall emits a conflict-stall event once per distinct blocking task
-// (scans re-encounter the same conflict until the blocker finishes).
+// (scans re-encounter the same conflict until the blocker finishes). A
+// tracer that records no events gets no attribution either: Submit then
+// attached no stallState, and the nil check returns before any work.
 func (s *Scheduler) traceStall(f, q *core.Future) {
 	st, _ := f.SchedState.(*stallState)
 	if st == nil || st.stalledOn.Swap(q.Seq()) == q.Seq() {

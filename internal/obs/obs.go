@@ -19,7 +19,10 @@
 //
 // A nil *Tracer is valid everywhere and records nothing: every exported
 // method nil-checks its receiver, so an untraced runtime pays a single
-// pointer comparison per hook and performs no allocation.
+// pointer comparison per hook and performs no allocation. A tracer built
+// WithoutRing keeps its metrics (and the contention profile) but records
+// no events: Emit returns at once and Recording reports false, so
+// emitters skip their formatting and per-stall attribution too.
 //
 // The package deliberately depends only on the standard library; core,
 // pool and both schedulers import it, never the reverse.
@@ -245,7 +248,8 @@ type shard struct {
 // a nil *Tracer is a valid no-op sink.
 type Tracer struct {
 	start    time.Time
-	shardCap uint64
+	shardCap uint64 // 0 when built WithoutRing
+	noRing   bool
 	shards   [numShards]shard
 	metrics  Metrics
 	cont     Contention
@@ -269,11 +273,24 @@ func WithCapacity(perShard int) Option {
 	}
 }
 
+// WithoutRing builds the tracer without its event ring: metrics, the
+// contention profile and the task log work as usual, while Emit drops
+// every event and Recording reports false. Runtimes whose only consumer
+// is a metrics scrape use it to keep event recording, its formatting and
+// wait-for attribution off the hot path.
+func WithoutRing() Option {
+	return func(t *Tracer) { t.noRing = true }
+}
+
 // New returns an empty tracer whose clock starts now.
 func New(opts ...Option) *Tracer {
 	t := &Tracer{start: time.Now(), shardCap: 4096}
 	for _, o := range opts {
 		o(t)
+	}
+	if t.noRing {
+		t.shardCap = 0
+		return t
 	}
 	for i := range t.shards {
 		t.shards[i].buf = make([]atomic.Pointer[Event], t.shardCap)
@@ -290,11 +307,16 @@ func (t *Tracer) Clock() int64 {
 	return int64(time.Since(t.start))
 }
 
+// Recording reports whether Emit keeps events: false for a nil tracer
+// and for one built WithoutRing. Emitters check it before formatting an
+// event's detail or doing any other work whose only consumer is the ring.
+func (t *Tracer) Recording() bool { return t != nil && t.shardCap != 0 }
+
 // Emit records ev, stamping TS if zero. Safe for concurrent use and on a
-// nil receiver (no-op). Never blocks: a full ring overwrites its oldest
-// slot.
+// nil or ring-less receiver (no-op). Never blocks: a full ring overwrites
+// its oldest slot.
 func (t *Tracer) Emit(ev Event) {
-	if t == nil {
+	if !t.Recording() {
 		return
 	}
 	if ev.TS == 0 {

@@ -146,6 +146,41 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWithoutRing pins the metrics-only tracer: it records no events and
+// allocates nothing per Emit, while its metrics and contention profile
+// keep counting.
+func TestWithoutRing(t *testing.T) {
+	tr := New(WithoutRing(), WithCapacity(64))
+	if tr.Recording() {
+		t.Fatal("ring-less tracer reports Recording")
+	}
+	if !New().Recording() {
+		t.Fatal("default tracer does not report Recording")
+	}
+	var nilT *Tracer
+	if nilT.Recording() {
+		t.Fatal("nil tracer reports Recording")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.Emit(Event{Kind: KindStart, Task: 42, Worker: 1})
+		tr.Metrics().TasksSubmitted.Add(1)
+		tr.Metrics().ObserveAdmission(1500)
+	})
+	if allocs != 0 {
+		t.Fatalf("ring-less Emit allocates %v per op, want 0", allocs)
+	}
+	if tr.Len() != 0 || tr.Dropped() != 0 || len(tr.Events()) != 0 {
+		t.Fatalf("ring-less tracer retained events: len=%d dropped=%d", tr.Len(), tr.Dropped())
+	}
+	if s := tr.Metrics().Snapshot(); s.TasksSubmitted == 0 || s.AdmissionCount == 0 {
+		t.Fatalf("ring-less tracer lost its metrics: %+v", s)
+	}
+	tr.Contention().Observe("Root:X", 5)
+	if ns, n := tr.Contention().Total(); ns != 5 || n != 1 {
+		t.Fatalf("ring-less contention = %d/%d, want 5/1", ns, n)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{KindSubmit, KindStatus, KindEnable, KindStart, KindBlock,
 		KindUnblock, KindSpawn, KindJoin, KindFinish, KindConflictStall,

@@ -68,12 +68,18 @@ type DebugSnapshot struct {
 		Regs     int64 `json:"regs"`     // lifetime registrations, summed over live conns
 	} `json:"effect_tables"`
 
+	// Contention is the stall-time profile by RPL prefix. It is fed by
+	// wait-for attribution, which only a tracer with an event ring
+	// records: all zero on a daemon started without -req-trace (or
+	// -trace, -eventlog, -trace-events).
 	Contention struct {
 		TotalStallNS int64                 `json:"total_stall_ns"`
 		Observations int64                 `json:"observations"`
 		Top          []obs.ContentionEntry `json:"top"`
 	} `json:"contention"`
 
+	// TraceEvents counts the events retained in the tracer ring; 0 on a
+	// default daemon, which builds no ring (Config.TraceEvents).
 	TraceEvents  int    `json:"trace_events"`
 	TraceDropped uint64 `json:"trace_dropped"`
 }

@@ -545,7 +545,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 		shard, slot := st.slot(req.Key)
 		key, val := req.Key, req.Val
 		return &core.Task{
-			Name: fmt.Sprintf("put[s%d]", shard),
+			Name: st.putNames[shard],
 			Body: func(ctx *core.Ctx, _ any) (any, error) {
 				if hold != nil {
 					hold(OpPut, key)
@@ -568,7 +568,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 		shard, slot := st.slot(req.Key)
 		key := req.Key
 		return &core.Task{
-			Name: fmt.Sprintf("get[s%d]", shard),
+			Name: st.getNames[shard],
 			Body: func(ctx *core.Ctx, _ any) (any, error) {
 				if hold != nil {
 					hold(OpGet, key)
@@ -634,7 +634,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 				for k := range st.shards {
 					k := k
 					sf, err := ctx.Spawn(&core.Task{
-						Name: fmt.Sprintf("scanShard[%d]", k),
+						Name: st.scanNames[k],
 						Eff: effect.NewSet(
 							effect.Read(shardRegion(k)),
 							effect.WriteEff(rpl.New(rpl.N("Session"), rpl.Idx(s.id), rpl.Idx(k)))),

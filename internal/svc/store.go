@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"fmt"
+
 	"twe/internal/dyneff"
 	"twe/internal/effect"
 	"twe/internal/rpl"
@@ -18,13 +20,23 @@ type store struct {
 
 	reg   *dyneff.Registry
 	accum []*dyneff.Ref // one per key
+
+	// Task names per shard, formatted once: they only feed trace events
+	// and the task log, which match on them byte for byte.
+	putNames, getNames, scanNames []string
 }
 
 func newStore(shards, keys int) *store {
 	st := &store{perShard: (keys + shards - 1) / shards, reg: dyneff.NewRegistry()}
 	st.shards = make([][]int64, shards)
+	st.putNames = make([]string, shards)
+	st.getNames = make([]string, shards)
+	st.scanNames = make([]string, shards)
 	for k := range st.shards {
 		st.shards[k] = make([]int64, st.perShard)
+		st.putNames[k] = fmt.Sprintf("put[s%d]", k)
+		st.getNames[k] = fmt.Sprintf("get[s%d]", k)
+		st.scanNames[k] = fmt.Sprintf("scanShard[%d]", k)
 	}
 	st.accum = make([]*dyneff.Ref, keys)
 	for i := range st.accum {

@@ -62,8 +62,11 @@ type Config struct {
 	// The ring overwrites its oldest events when full, so a traced run
 	// that outlives the ring exports only its tail — admission-wait
 	// spans from the contended early phase would be gone by drain time.
-	// Defaults to 4096 with tracing off and 16384 with ReqTrace on
-	// (request tracing emits ~5 spans per request).
+	// 0 builds no ring unless a consumer asks for one: ReqTrace then
+	// defaults it to 16384 (request tracing emits ~5 spans per request)
+	// and TaskLog to 4096. Without a ring the runtime metrics still count,
+	// but no events, wait-for attribution or contention profile are
+	// recorded (DESIGN.md §7); twe-serve -trace sets a positive value.
 	TraceEvents int
 
 	// TaskLog additionally records every task's name and declared-effect
@@ -156,14 +159,19 @@ func Start(cfg Config) (*Server, error) {
 		s.schedName = "custom"
 	}
 
-	perShard := cfg.TraceEvents
-	if perShard <= 0 {
-		perShard = 4096
-		if cfg.ReqTrace {
-			perShard = 16384
-		}
+	// The tracer always exists, because the runtime metrics live in it;
+	// its event ring is built only for a consumer (DESIGN.md §7).
+	var tracerOpts []obs.Option
+	switch {
+	case cfg.TraceEvents > 0:
+		tracerOpts = append(tracerOpts, obs.WithCapacity(cfg.TraceEvents))
+	case cfg.ReqTrace:
+		tracerOpts = append(tracerOpts, obs.WithCapacity(16384))
+	case cfg.TaskLog:
+		tracerOpts = append(tracerOpts, obs.WithCapacity(4096))
+	default:
+		tracerOpts = append(tracerOpts, obs.WithoutRing())
 	}
-	tracerOpts := []obs.Option{obs.WithCapacity(perShard)}
 	if cfg.TaskLog {
 		tracerOpts = append(tracerOpts, obs.WithTaskLog())
 	}

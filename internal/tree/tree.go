@@ -253,7 +253,7 @@ type futState struct {
 	// "special range of values" encoding of the rechecking flag).
 	disabled atomic.Int64
 	// stalledOn deduplicates conflict-stall trace events (one per
-	// distinct blocking task, not one per recheck); tracing only.
+	// distinct blocking task, not one per recheck); recording tracers only.
 	stalledOn atomic.Uint64
 	// effStr caches the formatted effect summary for stall events, so a
 	// future that stalls repeatedly formats its effects once. Accessed
@@ -352,9 +352,11 @@ func (s *Scheduler) noteDepthLocked() {
 }
 
 // traceStall emits a conflict-stall event for e waiting on ep, once per
-// distinct blocking task.
+// distinct blocking task. Both the event and the wait-for attribution
+// feed consumers of the event ring, so a runtime without one (untraced,
+// or a metrics-only tracer) returns before formatting anything.
 func (s *Scheduler) traceStall(e, ep *effInst) {
-	if s.tracer == nil {
+	if !s.tracer.Recording() {
 		return
 	}
 	st := stateOf(e.fut)

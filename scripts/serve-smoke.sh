@@ -16,6 +16,10 @@
 #      codec (-proto v2, DESIGN.md §13) against a fresh daemon: the same
 #      oracles must hold and the drained summary must show only v2
 #      connections. scripts/proto-smoke.sh is the deeper v2 gate.
+#   5. trace on request — a daemon started with -trace alone (no
+#      -req-trace, no -trace-events) must still build its event ring
+#      and write a Chrome trace that passes `twe-trace -check` with a
+#      nonzero span count; default daemons build no ring (DESIGN.md §7).
 #
 # Run via `make serve-smoke` or directly. Exits non-zero on any failure.
 set -eu
@@ -24,6 +28,7 @@ TMP="$(mktemp -d /tmp/twe-serve-smoke.XXXXXX)"
 BENCH_OUT="${BENCH_OUT:-$TMP/BENCH_serve.json}"
 SERVE="$TMP/twe-serve"
 LOAD="$TMP/twe-load"
+TRACE="$TMP/twe-trace"
 SRV_PID=""
 
 cleanup() {
@@ -34,6 +39,7 @@ trap cleanup EXIT INT TERM
 
 go build -o "$SERVE" ./cmd/twe-serve
 go build -o "$LOAD" ./cmd/twe-load
+go build -o "$TRACE" ./cmd/twe-trace
 
 # start_server <logname> <serve flags...>: launches a daemon on an
 # ephemeral port and waits for the address files.
@@ -64,7 +70,7 @@ stop_server() {
 	cat "$TMP/$1.log"
 }
 
-echo '== serve-smoke 1/4: correctness (tree + isolcheck, 32 conns) =='
+echo '== serve-smoke 1/5: correctness (tree + isolcheck, 32 conns) =='
 start_server correctness -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 4 \
 	-conflict 0.25 -scan-every 20 -seed 7 \
@@ -73,19 +79,19 @@ stop_server correctness
 [ -s "$BENCH_OUT" ] || { echo "serve-smoke: $BENCH_OUT missing"; exit 1; }
 echo "serve-smoke: wrote $BENCH_OUT"
 
-echo '== serve-smoke 2/4: forced overload (-max-inflight 2, 300us deadline) =='
+echo '== serve-smoke 2/5: forced overload (-max-inflight 2, 300us deadline) =='
 start_server overload -sched tree -par 2 -max-inflight 2 -deadline 300us
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 8 \
 	-conflict 0.25 -seed 9 -expect-shed
 stop_server overload
 
-echo '== serve-smoke 3/4: faults (disconnects + cancels release effects) =='
+echo '== serve-smoke 3/5: faults (disconnects + cancels release effects) =='
 start_server faults -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 16 -requests 40 -pipeline 4 \
 	-conflict 0.25 -seed 11 -faults
 stop_server faults
 
-echo '== serve-smoke 4/4: protocol v2 (phase-1 workload over the binary codec) =='
+echo '== serve-smoke 4/5: protocol v2 (phase-1 workload over the binary codec) =='
 start_server proto-v2 -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 4 \
 	-conflict 0.25 -scan-every 20 -seed 7 -proto v2
@@ -95,5 +101,16 @@ if ! grep -Eq 'drained: conns=[0-9]+ \(v1=0 v2=[1-9][0-9]*\)' "$TMP/proto-v2.log
 	grep drained "$TMP/proto-v2.log" || true
 	exit 1
 fi
+
+echo '== serve-smoke 5/5: -trace alone still records (Chrome trace, twe-trace -check) =='
+start_server trace-only -sched tree -par 4 -trace "$TMP/trace-only.json"
+"$LOAD" -addr-file "$TMP/addr" -conns 8 -requests 40 -pipeline 4 \
+	-conflict 0.25 -seed 13 -proto v2
+stop_server trace-only
+CHECK="$("$TRACE" -check "$TMP/trace-only.json")"
+echo "$CHECK"
+case "$CHECK" in
+*' 0 spans'*) echo "serve-smoke: -trace run recorded no spans"; exit 1 ;;
+esac
 
 echo 'serve-smoke: OK'
