@@ -111,7 +111,7 @@ func main() {
 		go func() { _ = http.Serve(cln, r.Handler()) }()
 	}
 
-	go r.Serve(ln)
+	r.Start(ln)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

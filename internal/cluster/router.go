@@ -195,10 +195,17 @@ func (r *Router) Members() int { return r.n }
 // Metrics exposes the router's client-facing counters.
 func (r *Router) Metrics() *svc.Metrics { return &r.m }
 
-// Serve accepts client connections on ln until Drain closes it.
-func (r *Router) Serve(ln net.Listener) {
+// Start accepts client connections on ln until Drain closes it. The
+// listener and the accept loop's group entry are set before the loop is
+// spawned, so a Drain that follows Start on any goroutine ordered after it
+// always sees them (the shape of svc.Start).
+func (r *Router) Start(ln net.Listener) {
 	r.ln = ln
 	r.acceptWg.Add(1)
+	go r.acceptLoop(ln)
+}
+
+func (r *Router) acceptLoop(ln net.Listener) {
 	defer r.acceptWg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -261,7 +268,8 @@ func (r *Router) Stats() svc.StatsBody {
 
 // Drain stops accepting, wakes every live session's reader (the same
 // read-deadline poke twe-serve uses), and waits for sessions to finish
-// flushing. The coordinator and probe loops shut down after.
+// flushing. The coordinator and probe loops shut down after. On a router
+// that was never started there is no listener or accept loop to stop.
 func (r *Router) Drain(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -476,7 +484,7 @@ func (s *rsession) handleCancel(req *svc.Request) {
 	s.byID[req.ID] = e
 	s.mu.Unlock()
 	fwd := svc.Request{ID: req.ID, Op: svc.OpCancel, Target: req.Target}
-	s.dispatch(u, e, &fwd, fmt.Sprintf("member %d unreachable", target.shard))
+	s.dispatch(u, e, &fwd, "unreachable")
 }
 
 // handleData routes one data op by its declared effect and forwards it.
@@ -619,7 +627,7 @@ func (s *rsession) forward(k int, req *svc.Request, memo *routeMemo) {
 	s.mu.Unlock()
 	fwd := svc.Request{ID: req.ID, Op: req.Op, Key: req.Key, Val: req.Val,
 		Eff: memo.rewritten[k], Trace: req.Trace}
-	s.dispatch(u, e, &fwd, fmt.Sprintf("member %d send failed", k))
+	s.dispatch(u, e, &fwd, "send failed")
 }
 
 // dispatch writes an already-registered entry's request to its upstream
@@ -631,22 +639,22 @@ func (s *rsession) forward(k int, req *svc.Request, memo *routeMemo) {
 // the entry is still registered, and the dead-channel check is ordered
 // against recvLoop's orphan sweep (dead is closed before the sweep;
 // the entry was registered before this check), so an entry registered
-// after the sweep is always caught here.
-func (s *rsession) dispatch(u *upConn, e *proxyEntry, fwd *svc.Request, failMsg string) {
+// after the sweep is always caught here. The failure error reads
+// "member <e.shard> <failure>" and is formatted only when it is used.
+func (s *rsession) dispatch(u *upConn, e *proxyEntry, fwd *svc.Request, failure string) {
 	err := u.c.Send(fwd)
 	if err == nil {
 		err = u.c.Flush()
 	}
 	if err == nil {
 		select {
-		case <-u.dead:
-			s.failEntry(e, errors.New(failMsg))
+		case <-u.dead: // recvLoop has exited; fail the entry below
 		default:
+			s.q <- e
+			return
 		}
-		s.q <- e
-		return
 	}
-	s.failEntry(e, errors.New(failMsg))
+	s.failEntry(e, fmt.Errorf("member %d %s", e.shard, failure))
 	s.q <- e
 }
 

@@ -43,7 +43,7 @@ func startFleet(t *testing.T, n int, lane string) *fleet {
 		t.Fatal(err)
 	}
 	f.addr = ln.Addr().String()
-	go r.Serve(ln)
+	r.Start(ln)
 	return f
 }
 
@@ -395,6 +395,40 @@ func TestMemberLossFailsFastAndRecovers(t *testing.T) {
 	}
 }
 
+// TestStartThenImmediateDrain: a Drain issued right after Start must see
+// the listener and the accept loop Start set up (under -race, any missing
+// ordering between the two is a reported race), and a Drain on a router
+// that never started has nothing to stop.
+func TestStartThenImmediateDrain(t *testing.T) {
+	s, err := svc.Start(svc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(5 * time.Second)
+	cfg := Config{Shards: []string{s.Addr()}}
+	for i := 0; i < 1000; i++ {
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start(ln)
+		if err := r.Drain(5 * time.Second); err != nil {
+			t.Fatalf("round %d: drain: %v", i, err)
+		}
+	}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(time.Second); err != nil {
+		t.Fatalf("drain of an unstarted router: %v", err)
+	}
+}
+
 // TestMemoV1Bounded: the per-session v1 route memo must stay bounded by
 // EffCacheSize no matter how many distinct effect strings a client
 // cycles through.
@@ -412,7 +446,7 @@ func TestMemoV1Bounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go r.Serve(ln)
+	r.Start(ln)
 	c, err := svc.DialProto(ln.Addr().String(), svc.ProtoV1)
 	if err != nil {
 		t.Fatal(err)

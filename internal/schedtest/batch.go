@@ -191,6 +191,10 @@ func batchRepeated(t *testing.T, mk Factory) {
 	if total != want {
 		t.Errorf("total = %d, want %d", total, want)
 	}
+	// GetValue returns once a future's done channel closes, before the
+	// runtime passes the future to the scheduler's Done; drain the runtime
+	// so the audit sees every release.
+	rt.Shutdown()
 	if !rt.Quiesced() {
 		t.Error("scheduler did not quiesce after batched rounds")
 	}

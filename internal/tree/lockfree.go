@@ -266,11 +266,13 @@ func (s *Scheduler) tryFastSubmit(f *core.Future, st *futState, ready *[]*core.F
 // task's eventual Done, the paper's normal waiter lifecycle).
 //
 // An unwound effect's node is reset to nil, the "registered but not yet
-// placed" state that lockContainingNode waits out. The future joins the
-// waiting set before the locked insert places its effects, so the
-// liveness net may recheck it in that window; with a stale node pointer
-// that recheck would enable an effect that sits in no set, and the
-// insert would then file it a second time, where it outlives its task.
+// placed" state. The future joins the waiting set before the locked
+// insert places its effects; the liveness net skips it in that window
+// (stalledOldest), and the net runs again once the insert is done: here,
+// or for a batch in submitBatchLockFree's coalesced pass.
+// With a stale node pointer a recheck in the window would enable an
+// effect that sits in no set, and the insert would then file it a second
+// time, where it outlives its task.
 func (s *Scheduler) retractToSlow(f *core.Future, st *futState, published int, ready *[]*core.Future) {
 	for _, e := range st.effs[:published] {
 		n := e.node.Load()
