@@ -28,15 +28,14 @@ echo '== pool stress =='
 go test -race -count=50 -timeout 300s ./internal/pool/
 
 # Tree admission stress (DESIGN.md §3): the liveness net stands down on a
-# half-submitted task and leaves it to its submitter, so a lost net run
-# would be a rare hang. Thirty race-built repetitions of the liveness,
-# conformance and safety-net tests make it a fast failure instead.
-# TestFairAdmissionOrder is left out on purpose: it is a known flake (the
-# tree does not yet admit conflicting tasks in submission order) and stays
-# in tier 1 and in the -race run above unchanged.
+# half-submitted task and leaves it to its submitter, and newcomers park
+# behind their youngest conflicting elder, so a lost net run or a broken
+# wait chain would be a rare hang or a rare out-of-order admission. Thirty
+# race-built repetitions of the liveness, ordering, chain, conformance and
+# safety-net tests make either a fast failure instead.
 echo '== tree stress =='
 t0=$(date +%s)
-go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths|TestConformanceLockFree' ./internal/tree/
+go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestConformanceOrder|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths|TestConformanceLockFree' ./internal/tree/
 echo "tree stress: $(($(date +%s) - t0))s wall"
 
 # Differential fuzz smoke: pinned seed range so the run is reproducible and

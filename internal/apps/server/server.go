@@ -238,23 +238,31 @@ func RunTWE(cfg Config, log []Request, mkSched func() core.Scheduler, par, windo
 	if window <= 0 {
 		window = 64
 	}
-	res := &Result{SessionReqs: make([]int, cfg.Sessions)}
 	futs := make([]*core.Future, len(log))
-	shedable := func(err error) bool {
-		return cfg.Deadline > 0 && errors.Is(err, core.ErrDeadlineExceeded)
-	}
 	for i := range log {
 		futs[i] = s.Submit(log[i])
 		if i >= window {
-			if _, err := rt.GetValue(futs[i-window]); err != nil && !shedable(err) {
+			if _, err := rt.GetValue(futs[i-window]); err != nil && !s.shedable(err) {
 				return nil, err
 			}
 		}
 	}
+	return s.collect(log, futs)
+}
+
+// shedable reports whether err is a deadline shed under load shedding.
+func (s *Server) shedable(err error) bool {
+	return s.cfg.Deadline > 0 && errors.Is(err, core.ErrDeadlineExceeded)
+}
+
+// collect waits for the response to every log entry (futs[i] serves
+// log[i]) and summarizes the run.
+func (s *Server) collect(log []Request, futs []*core.Future) (*Result, error) {
+	res := &Result{SessionReqs: make([]int, s.cfg.Sessions)}
 	for i, f := range futs {
-		v, err := rt.GetValue(f)
+		v, err := s.rt.GetValue(f)
 		if err != nil {
-			if shedable(err) {
+			if s.shedable(err) {
 				res.Shed++
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"twe/internal/core"
+	"twe/internal/effect"
 	"twe/internal/isolcheck"
 	"twe/internal/naive"
 	"twe/internal/tree"
@@ -112,30 +113,79 @@ func TestConcurrentWindowInvariants(t *testing.T) {
 	}
 }
 
-// TestDeadlineLoadShedding: with a deadline far below the queueing delay
-// of a full log dump, the server sheds stale requests instead of serving
-// them late. A shed request performs no accesses, so session accounting
-// partitions the log exactly: served + shed == submitted. Isolation must
-// hold across the shed/served mix.
+// TestDeadlineLoadShedding: requests that cannot start within their
+// deadline are shed instead of served late. A gate task holds the even
+// sessions' regions until each request of those sessions has been shed
+// by its deadline timer, so their queueing is certain rather than hoped
+// for; the odd sessions' requests run before them on the remaining worker.
+// A shed request performs no accesses, so session accounting partitions
+// the log exactly: served + shed == submitted. Isolation must hold across
+// the shed/served mix.
 func TestDeadlineLoadShedding(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Deadline = 50 * time.Microsecond
 	log := GenerateLog(cfg)
+	var gated []effect.Effect
+	for id := 0; id < cfg.Sessions; id += 2 {
+		gated = append(gated, effect.WriteEff(sessionRegion(id)))
+	}
 	for name, mk := range factories() {
 		chk := isolcheck.New()
-		res, err := RunTWE(cfg, log, mk, 2, len(log), core.WithMonitor(chk))
+		rt := core.NewRuntime(mk(), 2, core.WithMonitor(chk))
+		s := New(cfg, rt)
+		started, release := make(chan struct{}), make(chan struct{})
+		gate := rt.ExecuteLater(&core.Task{Name: "gate", Eff: effect.NewSet(gated...),
+			Body: func(*core.Ctx, any) (any, error) {
+				close(started)
+				<-release
+				return nil, nil
+			}}, nil)
+		<-started
+		// The odd sessions' requests go first, one at a time onto an idle
+		// runtime, and each is served unless it misses the deadline. Then
+		// the even sessions', all at once: none can start while the gate
+		// runs, so only its deadline timer finishes each of them, and the
+		// gate holds until it has.
+		futs := make([]*core.Future, len(log))
+		for i, r := range log {
+			if r.Session%2 == 1 {
+				futs[i] = s.Submit(r)
+				if _, err := rt.GetValue(futs[i]); err != nil && !s.shedable(err) {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		for i, r := range log {
+			if r.Session%2 == 0 {
+				futs[i] = s.Submit(r)
+			}
+		}
+		for i, r := range log {
+			for r.Session%2 == 0 && !futs[i].IsDone() {
+				time.Sleep(cfg.Deadline)
+			}
+		}
+		close(release)
+		if _, err := rt.GetValue(gate); err != nil {
+			t.Fatalf("%s: gate: %v", name, err)
+		}
+		res, err := s.collect(log, futs)
+		rt.Shutdown()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, v := range chk.Violations() {
 			t.Errorf("%s: %v", name, v)
 		}
-		if res.Shed == 0 {
-			t.Errorf("%s: nothing shed under a %v deadline with the whole log in flight", name, cfg.Deadline)
-		}
 		served := 0
-		for _, n := range res.SessionReqs {
+		for id, n := range res.SessionReqs {
+			if id%2 == 0 && n != 0 {
+				t.Errorf("%s: session %d served %d requests behind the gate", name, id, n)
+			}
 			served += n
+		}
+		if res.Shed == 0 || served == 0 {
+			t.Errorf("%s: served %d, shed %d under a %v deadline: want both nonzero", name, served, res.Shed, cfg.Deadline)
 		}
 		if served+res.Shed != cfg.Requests {
 			t.Errorf("%s: served %d + shed %d != %d submitted (partial service?)",

@@ -354,6 +354,16 @@ type Scheduler interface {
 	// Submit introduces a future in Waiting (or Prioritized, for Execute)
 	// state. The scheduler enables it — immediately or later — by calling
 	// f.Ready().
+	//
+	// Order contract: conflicting tasks that are not prioritized are
+	// admitted in Seq order. A task whose Submit starts after a conflicting
+	// task's Submit returned does not start before that task; nor does a
+	// later member of a SubmitBatch group before an earlier one it
+	// conflicts with. Prioritized tasks (Execute, a task some waiter blocks
+	// on, the tree's liveness net) may overtake, and so may a task whose
+	// submission overlaps an older one's. The naive scheduler keeps the
+	// contract with its FIFO queue and the tree scheduler with its elder
+	// rule; tree-lockfree's zero-lock fast path is excepted.
 	Submit(f *Future)
 	// NotifyBlocked is called after caller (possibly nil for an external
 	// waiter) has recorded target as its blocker. The scheduler prioritizes

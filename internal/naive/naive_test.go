@@ -18,6 +18,10 @@ func TestConformance(t *testing.T) {
 	schedtest.Run(t, "naive", func() core.Scheduler { return naive.New() })
 }
 
+func TestConformanceOrder(t *testing.T) {
+	schedtest.RunOrder(t, "naive", func() core.Scheduler { return naive.New() })
+}
+
 // TestFIFOOrder: the naive scheduler runs conflicting tasks in enqueue
 // order (§3.4.2).
 func TestFIFOOrder(t *testing.T) {

@@ -135,9 +135,9 @@ func TestRefineAcceptsRealRuns(t *testing.T) {
 				if i%2 == 1 {
 					eff, kind = rA, "r"
 				}
+				wg.Add(1) // before Submit: the task may run at once
 				futs = append(futs, rt.Submit(core.NewTask(fmt.Sprintf("%s%d", kind, i), eff,
 					func(*core.Ctx, any) (any, error) { wg.Done(); return i, nil })))
-				wg.Add(1)
 			}
 			for _, f := range futs {
 				if _, err := rt.GetValue(f); err != nil {

@@ -90,11 +90,33 @@ type session struct {
 	// effect, never concurrently — and read by Server.sessionDone, after
 	// the writer has resolved every future the session submitted.
 	ops int64
+
+	// required holds the session's required effect sets, built on first
+	// use by buildTask; only the reader goroutine touches it.
+	required requiredSets
+}
+
+// requiredSets memoizes one session's required effect sets: put and get
+// per shard, add, and scan. A set is immutable once built, so one
+// instance serves every op; a zero Set marks an entry not built yet.
+type requiredSets struct {
+	put, get  []effect.Set
+	add, scan effect.Set
+}
+
+// memoSet returns *slot, building it with mk on first use.
+func memoSet(slot *effect.Set, mk func() effect.Set) effect.Set {
+	if slot.Len() == 0 {
+		*slot = mk()
+	}
+	return *slot
 }
 
 func newSession(srv *Server, id int, conn net.Conn) *session {
+	shards := len(srv.st.shards)
 	return &session{id: id, srv: srv, conn: conn, q: make(chan pending, respQueueCap),
-		pend: make(map[uint64]*core.Future), prep: make(map[uint64]*prepEntry)}
+		pend: make(map[uint64]*core.Future), prep: make(map[uint64]*prepEntry),
+		required: requiredSets{put: make([]effect.Set, shards), get: make([]effect.Set, shards)}}
 }
 
 // prepEntry is one two-phase cross-shard hold (DESIGN.md §16): admitted
@@ -524,9 +546,9 @@ func (s *session) resolveHold(e *prepEntry, id uint64) *Response {
 }
 
 // buildTask returns the op's task body and its required (minimal)
-// effect. Bodies touch shard state with no synchronization — the
-// scheduler's isolation guarantee is load-bearing here, and the
-// isolcheck oracle audits it in CI.
+// effect, from the session's memo of required sets. Bodies touch shard
+// state with no synchronization — the scheduler's isolation guarantee is
+// load-bearing here, and the isolcheck oracle audits it in CI.
 func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 	st := s.srv.st
 	hold := s.srv.cfg.Hold
@@ -559,7 +581,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 				m.RunLat.Observe(time.Since(t0).Nanoseconds())
 				return int64(0), nil
 			},
-		}, putEffectSet(shard, s.id), nil
+		}, memoSet(&s.required.put[shard], func() effect.Set { return putEffectSet(shard, s.id) }), nil
 
 	case OpGet:
 		if err := checkKey(); err != nil {
@@ -582,7 +604,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 				m.RunLat.Observe(time.Since(t0).Nanoseconds())
 				return v, nil
 			},
-		}, getEffectSet(shard, s.id), nil
+		}, memoSet(&s.required.get[shard], func() effect.Set { return getEffectSet(shard, s.id) }), nil
 
 	case OpAdd:
 		if err := checkKey(); err != nil {
@@ -616,7 +638,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 				m.RunLat.Observe(time.Since(t0).Nanoseconds())
 				return total, nil
 			},
-		}, addEffectSet(s.id), nil
+		}, memoSet(&s.required.add, func() effect.Set { return addEffectSet(s.id) }), nil
 
 	case OpScan:
 		return &core.Task{
@@ -665,7 +687,7 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 				m.RunLat.Observe(time.Since(t0).Nanoseconds())
 				return total, nil
 			},
-		}, scanEffectSet(s.id), nil
+		}, memoSet(&s.required.scan, func() effect.Set { return scanEffectSet(s.id) }), nil
 
 	default:
 		return nil, effect.Set{}, fmt.Errorf("unknown op %q", req.Op)

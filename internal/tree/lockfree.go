@@ -321,8 +321,9 @@ func (s *Scheduler) retractToSlow(f *core.Future, st *futState, published int, r
 }
 
 // removeEffect takes e out of the scheduler — fast set or locked set,
-// wherever it currently lives — and returns the waiters registered on it
-// (snapshot-and-cleared inside the same critical section as the removal).
+// wherever it currently lives — and hands over the waiters registered on it
+// (taken inside the same critical section as the removal; the caller owns
+// the slice).
 // Winning the fast-set CAS implies no waiters exist: waiter registration on
 // a fast effect requires capturing it into the locked sets first.
 func (s *Scheduler) removeEffect(e *effInst) []*effInst {
@@ -350,14 +351,8 @@ func (s *Scheduler) removeEffect(e *effInst) []*effInst {
 			continue
 		}
 		n.remove(e)
-		var ws []*effInst
-		if len(e.waiters) > 0 {
-			ws = make([]*effInst, 0, len(e.waiters))
-			for w := range e.waiters {
-				ws = append(ws, w)
-			}
-			e.waiters = nil
-		}
+		ws := e.waiters
+		e.waiters = nil
 		n.unlock()
 		return ws
 	}

@@ -22,12 +22,19 @@
 // node's effects into six sets so conflict checks skip sets that provably
 // cannot conflict, and the §5.4 liveness safety net that prioritizes an
 // arbitrary waiting task if ever no task is enabled.
+//
+// One rule goes beyond the paper's checkAt: a non-prioritized check first
+// parks the new effect behind the youngest conflicting disabled effect of an
+// older task at the node (its youngest elder), so conflicting tasks are
+// admitted in Seq order and a pipelined session waits as a chain, one
+// successor per effect, rather than all on its running op.
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,11 +65,54 @@ type effInst struct {
 	// by lockContainingNode, written under the containing node's lock.
 	node atomic.Pointer[node]
 	// enabled and waiters are guarded by the containing node's lock.
+	// waiters are the effects to recheck when this one leaves the tree; an
+	// effect may appear more than once, which costs one redundant recheck.
 	enabled bool
-	waiters map[*effInst]struct{}
-	// setIdx is the index of the per-node set holding the effect; guarded
-	// by the containing node's lock.
-	setIdx int
+	waiters []*effInst
+	// setIdx is the index of the per-node set holding the effect, and
+	// prev/next link it into that set's list; guarded by the containing
+	// node's lock.
+	setIdx     int
+	prev, next *effInst
+}
+
+// effList is one of a node's six effect sets: an intrusive doubly-linked
+// list through effInst.prev/next, so filing and unfiling an effect
+// allocates nothing. The two disabled lists are kept in fut.Seq() order,
+// oldest first (see add), which puts an effect's youngest elder right
+// behind it.
+type effList struct{ head, tail *effInst }
+
+// insertAfter links e after at, or at the head when at is nil.
+func (l *effList) insertAfter(at, e *effInst) {
+	e.prev = at
+	if at == nil {
+		e.next = l.head
+		l.head = e
+	} else {
+		e.next = at.next
+		at.next = e
+	}
+	if e.next == nil {
+		l.tail = e
+	} else {
+		e.next.prev = e
+	}
+}
+
+// unlink removes e from l.
+func (l *effList) unlink(e *effInst) {
+	if e.prev == nil {
+		l.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		l.tail = e.prev
+	} else {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // node is a scheduler-tree node (Fig. 5.3). Its lock guards its effect
@@ -81,7 +131,7 @@ type node struct {
 	// safe without the exclusive lock.
 	children  map[rpl.Elem]*node
 	childSync *sync.Map // rpl.Elem → *node; non-nil iff rw != nil or lf
-	sets      [numSets]map[*effInst]struct{}
+	sets      [numSets]effList
 	// enabledTail counts effects in the two enabled-with-tail sets; at the
 	// RW root a nonzero value forces writers onto the write-lock path
 	// because pass-through effects could conflict with them (§5.5.2). The
@@ -167,9 +217,7 @@ func (n *node) sortedChildren() []*node {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return compareElem(out[i].elem, out[j].elem) < 0
-	})
+	slices.SortFunc(out, func(a, b *node) int { return compareElem(a.elem, b.elem) })
 	return out
 }
 
@@ -211,13 +259,19 @@ func (n *node) placement(e *effInst) int {
 	}
 }
 
-// add places e at n (addEffect, Fig. 5.5). Caller holds the node lock.
+// add places e at n (addEffect, Fig. 5.5). Caller holds the node lock. A
+// disabled effect is filed in Seq order, searching from the tail: an effect
+// submitted in order lands at the tail in O(1), and one that moves down
+// from an ancestor, or is hoisted up, steps back past its juniors.
 func (n *node) add(e *effInst) {
 	idx := n.placement(e)
-	if n.sets[idx] == nil {
-		n.sets[idx] = make(map[*effInst]struct{})
+	l := &n.sets[idx]
+	at := l.tail
+	if idx == setDisabledRead || idx == setDisabledWrite {
+		for seq := e.fut.Seq(); at != nil && at.fut.Seq() > seq; at = at.prev {
+		}
 	}
-	n.sets[idx][e] = struct{}{}
+	l.insertAfter(at, e)
 	e.setIdx = idx
 	e.node.Store(n)
 	if idx == setEnabledReadTail || idx == setEnabledWriteTail {
@@ -230,7 +284,7 @@ func (n *node) add(e *effInst) {
 // remove deletes e from n (removeEffect, Fig. 5.5). Caller holds the node
 // lock.
 func (n *node) remove(e *effInst) {
-	delete(n.sets[e.setIdx], e)
+	n.sets[e.setIdx].unlink(e)
 	if e.setIdx == setEnabledReadTail || e.setIdx == setEnabledWriteTail {
 		n.enabledTail.Add(-1)
 	} else if e.setIdx == setEnabledReadNoTail || e.setIdx == setEnabledWriteNoTail {
@@ -479,11 +533,19 @@ var (
 	_ core.Quiescer       = (*Scheduler)(nil)
 )
 
-// newState builds and registers the scheduler's per-future record.
+// newState builds and registers the scheduler's per-future record. The
+// effect instances share one slab.
 func newState(f *core.Future) *futState {
 	st := &futState{}
-	for _, e := range f.Effects().Effects() {
-		st.effs = append(st.effs, &effInst{write: e.Write, r: e.Region, fut: f})
+	eff := f.Effects()
+	if n := eff.Len(); n > 0 {
+		insts := make([]effInst, n)
+		st.effs = make([]*effInst, n)
+		for j := range insts {
+			e := eff.At(j)
+			insts[j] = effInst{write: e.Write, r: e.Region, fut: f}
+			st.effs[j] = &insts[j]
+		}
 	}
 	st.disabled.Store(int64(len(st.effs)))
 	f.SchedState = st
@@ -712,45 +774,49 @@ func (s *Scheduler) Done(f *core.Future) {
 		return
 	}
 	for _, e := range st.effs {
-		// removeEffect snapshots-and-clears waiters inside the same
-		// critical section as the removal (or wins the fast-set CAS, in
-		// which case no waiter can exist): checkAt/checkBelow add waiters
-		// only while holding the node's lock and only for effects still
-		// present, so no wakeup can be lost.
-		waiters := s.removeEffect(e)
-		if len(waiters) == 0 {
-			continue
-		}
-		// Recheck oldest-first: conflicting waiters are admitted in task
-		// age order, the fairness §3.1.3 asks of schedulers for
-		// interactive programs ("avoid delaying the execution of one task
-		// excessively while other tasks execute ahead of it").
-		sort.Slice(waiters, func(i, j int) bool {
-			return waiters[i].fut.Seq() < waiters[j].fut.Seq()
-		})
-
-		s.slowEnter()
-		for _, w := range waiters {
-			nw := s.lockContainingNode(w)
-			if !w.enabled && w.fut.Status() < core.Done {
-				prio := w.fut.Status() == core.Prioritized
-				s.recheckEffect(w, nw, prio)
-				if prio && w.fut.Status() == core.Prioritized {
-					// Rechecking the single effect did not enable the task;
-					// recheck all its effects (some may have been disabled).
-					if wst := stateOf(w.fut); wst != nil {
-						s.recheckTask(w.fut, wst)
-					}
-				}
-			} else {
-				nw.unlock()
-			}
-		}
-		s.slowExit()
+		// removeEffect takes the waiters inside the same critical section
+		// as the removal (or wins the fast-set CAS, in which case no waiter
+		// can exist): checkAt/checkBelow add waiters only while holding the
+		// node's lock and only for effects still present, so no wakeup can
+		// be lost. With the elder rule a waiting chain hands over one
+		// successor here, not the whole queue.
+		s.recheckWaiters(s.removeEffect(e))
 	}
 
 	s.enabledCount.Add(-1)
 	s.ensureLiveness()
+}
+
+// recheckWaiters rechecks the effects that waited on a removed one,
+// oldest-first: conflicting waiters are admitted in task age order, the
+// fairness §3.1.3 asks of schedulers for interactive programs ("avoid
+// delaying the execution of one task excessively while other tasks
+// execute ahead of it").
+func (s *Scheduler) recheckWaiters(waiters []*effInst) {
+	if len(waiters) == 0 {
+		return
+	}
+	slices.SortFunc(waiters, func(a, b *effInst) int {
+		return cmp.Compare(a.fut.Seq(), b.fut.Seq())
+	})
+	s.slowEnter()
+	for _, w := range waiters {
+		nw := s.lockContainingNode(w)
+		if !w.enabled && w.fut.Status() < core.Done {
+			prio := w.fut.Status() == core.Prioritized
+			s.recheckEffect(w, nw, prio)
+			if prio && w.fut.Status() == core.Prioritized {
+				// Rechecking the single effect did not enable the task;
+				// recheck all its effects (some may have been disabled).
+				if wst := stateOf(w.fut); wst != nil {
+					s.recheckTask(w.fut, wst)
+				}
+			}
+		} else {
+			nw.unlock()
+		}
+	}
+	s.slowExit()
 }
 
 // Deschedule removes a cancelled future that may never have been enabled
@@ -805,27 +871,7 @@ func (s *Scheduler) Deschedule(f *core.Future) {
 
 	// Recheck the effects that were waiting on the removed ones,
 	// oldest-first, exactly as Done does.
-	sort.Slice(waiters, func(i, j int) bool {
-		return waiters[i].fut.Seq() < waiters[j].fut.Seq()
-	})
-	if len(waiters) > 0 {
-		s.slowEnter()
-		for _, w := range waiters {
-			nw := s.lockContainingNode(w)
-			if !w.enabled && w.fut.Status() < core.Done {
-				prio := w.fut.Status() == core.Prioritized
-				s.recheckEffect(w, nw, prio)
-				if prio && w.fut.Status() == core.Prioritized {
-					if wst := stateOf(w.fut); wst != nil {
-						s.recheckTask(w.fut, wst)
-					}
-				}
-			} else {
-				nw.unlock()
-			}
-		}
-		s.slowExit()
-	}
+	s.recheckWaiters(waiters)
 	s.ensureLiveness()
 }
 
@@ -900,8 +946,8 @@ type routedEff struct {
 // the parent lock held; the caller releases the parent afterwards
 // (hand-over-hand).
 func lockRoutes(routes []routedEff) {
-	sort.SliceStable(routes, func(i, j int) bool {
-		return compareElem(routes[i].c.elem, routes[j].c.elem) < 0
+	slices.SortStableFunc(routes, func(a, b routedEff) int {
+		return compareElem(a.c.elem, b.c.elem)
 	})
 	for i := range routes {
 		if i == 0 || routes[i].c != routes[i-1].c {
@@ -943,10 +989,7 @@ func (s *Scheduler) insertRoutes(routes []routedEff, depth int, prio bool, ready
 func (s *Scheduler) waitOnPending(e *effInst, pending []*effInst) bool {
 	for _, ep := range pending {
 		if s.conflicts(ep, e) {
-			if ep.waiters == nil {
-				ep.waiters = make(map[*effInst]struct{})
-			}
-			ep.waiters[e] = struct{}{}
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -956,11 +999,19 @@ func (s *Scheduler) waitOnPending(e *effInst, pending []*effInst) bool {
 
 // --- conflict checking (Figs. 5.6–5.8) ------------------------------------
 
-// checkAt tests e against the enabled effects at n (Fig. 5.6), using only
-// the six-set subsets that can possibly conflict (§5.5.3): read effects
-// skip other reads, and an effect passing through n on the way to a deeper
-// node can only conflict with effects that have a tail beyond n's prefix.
-// Caller holds n.mu and the lock of e's containing node (if e is placed).
+// checkAt tests e against the effects at n (Fig. 5.6) and reports whether
+// e must wait. A non-prioritized check first applies the elder rule: e
+// parks behind its youngest elder at n (see youngestElder), which keeps
+// conflicting tasks in Seq order; a newcomer could otherwise overtake a
+// waiter in the window between a Done's removal and the waiter's recheck.
+// Prioritized checks (the liveness net, NotifyBlocked, Execute) skip the
+// rule, so they may still overtake, and since elder waits point only from
+// young to old, the net can always resolve a cycle they join. Then e is
+// tested against the enabled effects, using only the six-set subsets that
+// can possibly conflict (§5.5.3): read effects skip other reads, and an
+// effect passing through n on the way to a deeper node can only conflict
+// with effects that have a tail beyond n's prefix. Caller holds n.mu and
+// the lock of e's containing node (if e is placed).
 func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 	// passing-through: e continues below n with a concrete element.
 	passing := e.r.Len() > n.depth && !e.r.Elem(n.depth).IsWildcard()
@@ -971,6 +1022,13 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 		// sets first; the scan below then treats them like any other enabled
 		// resident.
 		s.captureConflictingFast(n, e)
+	}
+	if !prio {
+		if ep := s.youngestElder(n, e); ep != nil {
+			ep.waiters = append(ep.waiters, e)
+			s.traceStall(e, ep)
+			return true
+		}
 	}
 	var idxs []int
 	if e.write {
@@ -987,21 +1045,17 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 		}
 	}
 	for _, idx := range idxs {
-		for ep := range n.sets[idx] {
+		var next *effInst
+		for ep := n.sets[idx].head; ep != nil; ep = next {
+			next = ep.next // tryDisable refiles ep in a disabled list
 			if !ep.enabled || !s.conflicts(ep, e) {
 				continue
 			}
 			if prio && s.tryDisable(ep, n) {
-				if e.waiters == nil {
-					e.waiters = make(map[*effInst]struct{})
-				}
-				e.waiters[ep] = struct{}{}
+				e.waiters = append(e.waiters, ep)
 				continue
 			}
-			if ep.waiters == nil {
-				ep.waiters = make(map[*effInst]struct{})
-			}
-			ep.waiters[e] = struct{}{}
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1009,10 +1063,39 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 	return false
 }
 
+// youngestElder returns the youngest effect at n that is disabled, belongs
+// to an older task than e, and conflicts with e; nil if there is none. A
+// write checks both disabled lists, a read only the writes. The lists are
+// in Seq order, so each search walks back from e itself when e is filed in
+// the list, and otherwise from the tail past e's juniors, and stops at the
+// first conflicting elder or at one no younger than an elder already found.
+func (s *Scheduler) youngestElder(n *node, e *effInst) *effInst {
+	seq := e.fut.Seq()
+	var elder *effInst
+	for _, idx := range [...]int{setDisabledWrite, setDisabledRead} {
+		if idx == setDisabledRead && !e.write {
+			break
+		}
+		ep := n.sets[idx].tail
+		if e.setIdx == idx && e.node.Load() == n {
+			ep = e.prev
+		}
+		for ; ep != nil && (elder == nil || ep.fut.Seq() > elder.fut.Seq()); ep = ep.prev {
+			if ep.fut.Seq() < seq && s.conflicts(ep, e) {
+				elder = ep
+				break
+			}
+		}
+	}
+	return elder
+}
+
 // checkBelow tests e (held at ne) against all effects in the subtrees below
 // n (Fig. 5.7). Conflicting disabled effects are hoisted up to ne so that a
-// later recheck starting at ne will encounter e. Caller holds n.mu and
-// ne.mu; children are locked hand-over-hand.
+// later recheck starting at ne will encounter e, except that a
+// non-prioritized e parks behind a conflicting disabled effect of an older
+// task, as checkAt's elder rule does. Caller holds n.mu and ne.mu; children
+// are locked hand-over-hand.
 func (s *Scheduler) checkBelow(n *node, e *effInst, ne *node, prio bool) bool {
 	if !e.r.HasWildcard() {
 		// A wildcard-free RPL is disjoint from every RPL with a longer
@@ -1024,48 +1107,48 @@ func (s *Scheduler) checkBelow(n *node, e *effInst, ne *node, prio bool) bool {
 		s.visitNode()
 		if child.lf {
 			// §17: pull conflicting fast-set residents into the locked sets
-			// so the snapshot scan below sees them.
+			// so the scan below sees them.
 			s.captureConflictingFast(child, e)
 		}
-		conflictFound := false
-		// Snapshot: hoisting mutates the sets during iteration.
-		var all []*effInst
-		for idx := range child.sets {
-			if !e.write && (idx == setEnabledReadTail || idx == setEnabledReadNoTail || idx == setDisabledRead) {
-				continue // read effect cannot conflict with reads
-			}
-			for ep := range child.sets[idx] {
-				all = append(all, ep)
-			}
-		}
-		for _, ep := range all {
-			if !s.conflicts(ep, e) {
-				continue
-			}
-			if !ep.enabled || (prio && s.tryDisable(ep, child)) {
-				// Move the (now) disabled conflicting effect up to ne and
-				// remember it as a waiter of e.
-				if e.waiters == nil {
-					e.waiters = make(map[*effInst]struct{})
-				}
-				e.waiters[ep] = struct{}{}
-				child.remove(ep)
-				ne.add(ep)
-			} else {
-				if ep.waiters == nil {
-					ep.waiters = make(map[*effInst]struct{})
-				}
-				ep.waiters[e] = struct{}{}
-				s.traceStall(e, ep)
-				conflictFound = true
-				break
-			}
-		}
+		conflictFound := s.checkChild(child, e, ne, prio)
 		if !conflictFound {
 			conflictFound = s.checkBelow(child, e, ne, prio)
 		}
 		child.unlock()
 		if conflictFound {
+			return true
+		}
+	}
+	return false
+}
+
+// checkChild is checkBelow's scan of one locked child's effect sets.
+func (s *Scheduler) checkChild(child *node, e *effInst, ne *node, prio bool) bool {
+	for idx := range child.sets {
+		if !e.write && (idx == setEnabledReadTail || idx == setEnabledReadNoTail || idx == setDisabledRead) {
+			continue // read effect cannot conflict with reads
+		}
+		var next *effInst
+		for ep := child.sets[idx].head; ep != nil; ep = next {
+			next = ep.next // hoisting unlinks ep
+			if !s.conflicts(ep, e) {
+				continue
+			}
+			if !ep.enabled && !prio && ep.fut.Seq() < e.fut.Seq() {
+				ep.waiters = append(ep.waiters, e)
+				s.traceStall(e, ep)
+				return true
+			}
+			if !ep.enabled || (prio && s.tryDisable(ep, child)) {
+				// Move the (now) disabled conflicting effect up to ne and
+				// remember it as a waiter of e.
+				e.waiters = append(e.waiters, ep)
+				child.remove(ep)
+				ne.add(ep)
+				continue
+			}
+			ep.waiters = append(ep.waiters, e)
+			s.traceStall(e, ep)
 			return true
 		}
 	}
@@ -1402,7 +1485,9 @@ func (s *Scheduler) PendingEffects() int {
 		n.lock()
 		total := 0
 		for i := range n.sets {
-			total += len(n.sets[i])
+			for e := n.sets[i].head; e != nil; e = e.next {
+				total++
+			}
 		}
 		if fs := n.fast.Load(); fs != nil {
 			total += len(*fs) // §17 fast-set residents

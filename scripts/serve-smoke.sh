@@ -1,6 +1,6 @@
 #!/bin/sh
 # serve-smoke: end-to-end gate for the service layer (DESIGN.md §11).
-# Three phases against real twe-serve daemons on ephemeral ports:
+# Six phases against real twe-serve daemons on ephemeral ports:
 #
 #   1. correctness — tree scheduler under the isolation oracle, 32
 #      pipelined connections with scans and accumulator adds; the load
@@ -20,6 +20,10 @@
 #      -req-trace, no -trace-events) must still build its event ring
 #      and write a Chrome trace that passes `twe-trace -check` with a
 #      nonzero span count; default daemons build no ring (DESIGN.md §7).
+#   6. pipelined oracle — 4 v2 connections keep 16 ops in flight each
+#      over 5000 requests with scans; every get and scan must see its own
+#      session's latest writes, which holds only if the tree admits
+#      conflicting tasks in submission order (DESIGN.md §3).
 #
 # Run via `make serve-smoke` or directly. Exits non-zero on any failure.
 set -eu
@@ -70,7 +74,7 @@ stop_server() {
 	cat "$TMP/$1.log"
 }
 
-echo '== serve-smoke 1/5: correctness (tree + isolcheck, 32 conns) =='
+echo '== serve-smoke 1/6: correctness (tree + isolcheck, 32 conns) =='
 start_server correctness -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 4 \
 	-conflict 0.25 -scan-every 20 -seed 7 \
@@ -79,19 +83,19 @@ stop_server correctness
 [ -s "$BENCH_OUT" ] || { echo "serve-smoke: $BENCH_OUT missing"; exit 1; }
 echo "serve-smoke: wrote $BENCH_OUT"
 
-echo '== serve-smoke 2/5: forced overload (-max-inflight 2, 300us deadline) =='
+echo '== serve-smoke 2/6: forced overload (-max-inflight 2, 300us deadline) =='
 start_server overload -sched tree -par 2 -max-inflight 2 -deadline 300us
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 8 \
 	-conflict 0.25 -seed 9 -expect-shed
 stop_server overload
 
-echo '== serve-smoke 3/5: faults (disconnects + cancels release effects) =='
+echo '== serve-smoke 3/6: faults (disconnects + cancels release effects) =='
 start_server faults -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 16 -requests 40 -pipeline 4 \
 	-conflict 0.25 -seed 11 -faults
 stop_server faults
 
-echo '== serve-smoke 4/5: protocol v2 (phase-1 workload over the binary codec) =='
+echo '== serve-smoke 4/6: protocol v2 (phase-1 workload over the binary codec) =='
 start_server proto-v2 -sched tree -par 4 -isolcheck
 "$LOAD" -addr-file "$TMP/addr" -conns 32 -requests 40 -pipeline 4 \
 	-conflict 0.25 -scan-every 20 -seed 7 -proto v2
@@ -102,7 +106,7 @@ if ! grep -Eq 'drained: conns=[0-9]+ \(v1=0 v2=[1-9][0-9]*\)' "$TMP/proto-v2.log
 	exit 1
 fi
 
-echo '== serve-smoke 5/5: -trace alone still records (Chrome trace, twe-trace -check) =='
+echo '== serve-smoke 5/6: -trace alone still records (Chrome trace, twe-trace -check) =='
 start_server trace-only -sched tree -par 4 -trace "$TMP/trace-only.json"
 "$LOAD" -addr-file "$TMP/addr" -conns 8 -requests 40 -pipeline 4 \
 	-conflict 0.25 -seed 13 -proto v2
@@ -112,5 +116,11 @@ echo "$CHECK"
 case "$CHECK" in
 *' 0 spans'*) echo "serve-smoke: -trace run recorded no spans"; exit 1 ;;
 esac
+
+echo '== serve-smoke 6/6: pipelined oracle (4 v2 conns, pipeline 16) =='
+start_server pipelined -sched tree -par 4
+"$LOAD" -addr-file "$TMP/addr" -conns 4 -pipeline 16 -proto v2 \
+	-requests 5000 -scan-every 32
+stop_server pipelined
 
 echo 'serve-smoke: OK'
