@@ -38,6 +38,19 @@ t0=$(date +%s)
 go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestConformanceOrder|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths|TestConformanceLockFree' ./internal/tree/
 echo "tree stress: $(($(date +%s) - t0))s wall"
 
+# Cluster relay stress (DESIGN.md §16): the router flushes forwards once
+# per client read and a two-phase round sends its legs at once, so a
+# missed flush point or a mispaired leg reply would be a rare hang or a
+# rare stranded hold. Twenty race-built repetitions of the flush-point,
+# abort-path and load batteries make either a fast failure, and the
+# cluster model re-proves that the coordinator mutex is what keeps
+# concurrent legs deadlock-free.
+echo '== cluster stress =='
+t0=$(date +%s)
+go test -race -count=20 -timeout 600s -run 'Flush|Abort|TestClusterLoad' ./internal/cluster/
+go test -count=3 -run Cluster ./internal/spec/
+echo "cluster stress: $(($(date +%s) - t0))s wall"
+
 # Differential fuzz smoke: pinned seed range so the run is reproducible and
 # bounded (~30s incl. build); any divergence exits non-zero with a replay
 # command line.

@@ -78,8 +78,8 @@ func main() {
 				c.Name, len(c.Tasks), c.AllowCancel, c.MaxInflight)
 		}
 		for _, c := range spec.ClusterPresets() {
-			fmt.Printf("%-14s %d ops over %d members  (abort=%v, cluster)\n",
-				c.Name, len(c.Ops), c.Members, c.AllowAbort)
+			fmt.Printf("%-24s %d ops over %d members  (abort=%v, parallel legs=%v, cluster)\n",
+				c.Name, len(c.Ops), c.Members, c.AllowAbort, c.ParallelLegs)
 		}
 		for _, c := range spec.EpochPresets() {
 			fast := 0
@@ -149,7 +149,7 @@ func runClusterExplore(preset, mutate string, expectViolation bool, maxStates in
 			fmt.Fprintf(os.Stderr, "twe-spec: %s: %v\n", cfg.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-14s %7d states %8d transitions  %v\n",
+		fmt.Printf("%-24s %7d states %8d transitions  %v\n",
 			cfg.Name, res.States, res.Transitions, res.Elapsed)
 		if res.Violation != nil {
 			violations++

@@ -4,33 +4,34 @@ import (
 	"fmt"
 	"sync"
 
-	"twe/internal/effect"
 	"twe/internal/svc"
 )
 
 // coordinator runs the cross-shard lanes (DESIGN.md §16). Both lanes are
 // fully serialized behind mu — one cross-shard op in the system at a
-// time — which is what makes the two-phase lane trivially deadlock-free:
-// holds from two concurrent coordinator rounds can never wait on each
-// other because there is never more than one round. Single-shard traffic
-// keeps flowing throughout (2pc lane); the holds themselves provide the
+// time. That is the two-phase lane's deadlock-freedom argument: a round
+// sends all its prepares at once, so its legs acquire their holds in no
+// fixed member order, and two concurrent rounds could each hold one
+// member while waiting on the other; with one round at a time no hold
+// of a round can wait on another round's. Single-shard traffic keeps
+// flowing throughout (2pc lane); the holds themselves provide the
 // atomicity:
 //
-//	prepare (ascending member order) → ack'd StatusPrepared per member
-//	→ commit all → combine outcomes
+//	prepare every member at once → ack'd StatusPrepared per member
+//	→ commit every member at once → combine outcomes
 //
 // A prepared ack means the hold's body started, i.e. its effects are
 // held on that member: every conflicting single-shard op admitted before
 // the hold has finished, every one admitted after waits for release. By
 // the time any commit executes, holds exist on *all* touched members, so
 // the committed bodies read/write a consistent cut. On any prepare
-// failure every already-prepared hold is aborted — release on abort is
-// the shard-side guarantee (svc prepare holds resolve on abort, expiry,
-// or disconnect).
+// failure every prepared hold is aborted — release on abort is the
+// shard-side guarantee (svc prepare holds resolve on abort, expiry, or
+// disconnect).
 //
 // The serial lane instead quiesces the router (flow write-lock): no
-// forwarded op is outstanding anywhere while the pieces run one by one,
-// trading all concurrency for protocol simplicity.
+// forwarded op is outstanding anywhere while the pieces run, trading
+// all concurrency for protocol simplicity.
 type coordinator struct {
 	r  *Router
 	mu sync.Mutex
@@ -83,10 +84,11 @@ func (co *coordinator) close() {
 // owner member's value. The caller (the session reader) has already
 // barriered its own outstanding single-shard ops, so program order per
 // client holds.
-func (r *Router) crossOp(clientSid int, req *svc.Request, declared effect.Set, dec Decision) *svc.Response {
+func (r *Router) crossOp(clientSid int, req *svc.Request, memo *routeMemo) *svc.Response {
 	owner := OwnerOfKey(req.Key, r.storeShards, r.n)
 	scanAll := req.Op == svc.OpScan
-	if !scanAll && dec.Mask&(1<<uint(owner)) == 0 {
+	mask := memo.dec.Mask
+	if !scanAll && mask&(1<<uint(owner)) == 0 {
 		// A non-scan op's body runs only on its key's owner member. If the
 		// declared effect touches several members but none of them is the
 		// owner, every leg would be a pure hold: the op would execute
@@ -98,108 +100,104 @@ func (r *Router) crossOp(clientSid int, req *svc.Request, declared effect.Set, d
 			Err: fmt.Sprintf("declared effect does not cover key %d's member %d", req.Key, owner)}
 	}
 	if r.cfg.CrossLane == "serial" {
-		return r.coord.runSerial(clientSid, req, declared, dec.Mask, owner, scanAll)
+		return r.coord.runSerial(clientSid, req, memo, owner, scanAll)
 	}
-	return r.coord.runTwoPhase(clientSid, req, declared, dec.Mask, owner, scanAll)
+	return r.coord.runTwoPhase(clientSid, req, memo, owner, scanAll)
 }
 
-// rewriteFor maps the client's declared effect into one coordinator
-// connection's session namespace.
-func rewriteFor(declared effect.Set, clientSid int, c *svc.Client) (string, error) {
-	rw, err := RewriteSession(declared, clientSid, c.SID)
-	if err != nil {
-		return "", err
-	}
-	return rw.String(), nil
-}
-
+// leg is one member's part in a coordinator round.
 type leg struct {
 	shard  int
-	prepID uint64
 	c      *svc.Client
+	eff    string // the declared effect in c's session namespace
+	prepID uint64 // the leg's prepare (two-phase lane)
+
+	// The current phase's request and its outcome (see exchange).
+	id   uint64
+	resp *svc.Response
+	err  error
 }
 
-func (co *coordinator) runTwoPhase(clientSid int, req *svc.Request, declared effect.Set, mask uint64, owner int, scanAll bool) *svc.Response {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	fail := func(status, format string, args ...any) *svc.Response {
-		return &svc.Response{Status: status, Err: fmt.Sprintf(format, args...)}
-	}
+// open dials (or reuses) the coordinator connection of every member in
+// mask and rewrites the declared effect into each one's session, with
+// the rewrite memoized on the session's route memo. A failure returns
+// the client's answer; nothing has been sent yet.
+func (co *coordinator) open(clientSid int, memo *routeMemo, mask uint64) ([]leg, *svc.Response) {
 	var legs []leg
-	abortAll := func() {
-		for _, l := range legs {
-			co.nextID++
-			if _, err := l.c.Do(&svc.Request{ID: co.nextID, Op: svc.OpAbort, Target: l.prepID}); err != nil {
-				co.dropConn(l.shard)
-			}
-		}
-	}
-	// Phase 1: prepare a hold on every touched member, ascending member
-	// order, each ack'd before the next goes out. The sub op (the body a
-	// commit will run) goes to the owner — or to every member for a scan,
-	// whose pieces sum; the rest hold pure.
 	for k := 0; k < co.r.n; k++ {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
 		c, err := co.conn(k)
 		if err != nil {
-			abortAll()
-			return fail(svc.StatusError, "member %d unavailable: %v", k, err)
+			return nil, &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d unavailable: %v", k, err)}
 		}
-		eff, err := rewriteFor(declared, clientSid, c)
+		eff, err := memo.rewrite(k, clientSid, c.SID)
 		if err != nil {
-			abortAll()
-			return fail(svc.StatusRejected, "%v", err)
+			return nil, &svc.Response{Status: svc.StatusRejected, Err: err.Error()}
 		}
-		sub := ""
-		if scanAll || k == owner {
-			sub = req.Op
-		}
+		legs = append(legs, leg{shard: k, c: c, eff: eff})
+	}
+	return legs, nil
+}
+
+// exchange runs one phase of a round: it sends every leg's request
+// (built by mk) and flushes it, then reads every reply, so the phase
+// costs one round trip however many members it spans. Each leg ends
+// with resp or err set. A reply whose id is not its request's means the
+// connection is out of step, and is treated like a transport error: the
+// connection is dropped, so no stale reply can reach a later round and
+// every reply still owed on a live connection has been read.
+func (co *coordinator) exchange(legs []leg, mk func(l *leg) svc.Request) {
+	for i := range legs {
+		l := &legs[i]
 		co.nextID++
-		prepID := co.nextID
-		co.r.perShard[k].Prep.Add(1)
-		resp, err := c.Do(&svc.Request{ID: prepID, Op: svc.OpPrepare, Sub: sub,
-			Key: req.Key, Val: req.Val, Eff: eff})
-		if err != nil {
-			co.dropConn(k)
-			abortAll()
-			return fail(svc.StatusError, "member %d prepare failed: %v", k, err)
+		req := mk(l)
+		req.ID, l.id, l.resp = co.nextID, co.nextID, nil
+		if l.err = l.c.Send(&req); l.err == nil {
+			l.err = l.c.Flush()
 		}
-		if resp.Status != svc.StatusPrepared {
-			// The member refused (busy/rejected) or the hold resolved
-			// before starting; relay its verdict after releasing the rest.
-			abortAll()
-			return &svc.Response{Status: resp.Status, Err: resp.Err}
+	}
+	for i := range legs {
+		l := &legs[i]
+		if l.err == nil {
+			if l.resp, l.err = l.c.Recv(); l.err == nil && l.resp.ID != l.id {
+				l.err = fmt.Errorf("reply id %d to request %d", l.resp.ID, l.id)
+			}
 		}
-		legs = append(legs, leg{shard: k, prepID: prepID, c: c})
+		if l.err != nil {
+			co.dropConn(l.shard)
+		}
 	}
-	if len(legs) == 0 {
-		return fail(svc.StatusRejected, "cross-shard op touches no member")
+}
+
+// failure is the client's answer for a leg that did not succeed: its
+// transport failure, or the member's own verdict.
+func (l *leg) failure(what string) *svc.Response {
+	if l.err != nil {
+		return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d %s failed: %v", l.shard, what, l.err)}
 	}
-	// Phase 2: every member holds; commit them all and combine outcomes.
+	return &svc.Response{Status: l.resp.Status, Err: l.resp.Err}
+}
+
+// combine folds a phase's data outcomes into the client's answer: a
+// scan sums every member's value, other ops take the owner's. The first
+// failed leg in member order (shed on deadline, dyneff error, lost
+// member, ...) decides a failed answer.
+func (co *coordinator) combine(legs []leg, owner int, scanAll bool, what string) *svc.Response {
 	out := &svc.Response{Status: svc.StatusOK}
 	var sum, ownerVal int64
-	for _, l := range legs {
-		co.nextID++
-		resp, err := l.c.Do(&svc.Request{ID: co.nextID, Op: svc.OpCommit, Target: l.prepID})
-		if err != nil {
-			co.dropConn(l.shard)
-			out = fail(svc.StatusError, "member %d commit failed: %v", l.shard, err)
-			continue
-		}
-		if resp.Status == svc.StatusOK {
+	for i := range legs {
+		l := &legs[i]
+		switch {
+		case l.err == nil && l.resp.Status == svc.StatusOK:
 			co.r.perShard[l.shard].Srv.Add(1)
-			sum += resp.Val
+			sum += l.resp.Val
 			if l.shard == owner {
-				ownerVal = resp.Val
+				ownerVal = l.resp.Val
 			}
-			continue
-		}
-		// A hold's body failed (shed on deadline, dyneff error, ...):
-		// the combined op reports the first failure.
-		if out.Status == svc.StatusOK {
-			out = &svc.Response{Status: resp.Status, Err: resp.Err}
+		case out.Status == svc.StatusOK:
+			out = l.failure(what)
 		}
 	}
 	if out.Status == svc.StatusOK {
@@ -212,57 +210,74 @@ func (co *coordinator) runTwoPhase(clientSid int, req *svc.Request, declared eff
 	return out
 }
 
+func (co *coordinator) runTwoPhase(clientSid int, req *svc.Request, memo *routeMemo, owner int, scanAll bool) *svc.Response {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	legs, fail := co.open(clientSid, memo, memo.dec.Mask)
+	if fail != nil {
+		return fail
+	}
+	if len(legs) == 0 {
+		return &svc.Response{Status: svc.StatusRejected, Err: "cross-shard op touches no member"}
+	}
+	// Phase 1: prepare a hold on every touched member at once. The sub op
+	// (the body a commit will run) goes to the owner — or to every member
+	// for a scan, whose pieces sum; the rest hold pure.
+	co.exchange(legs, func(l *leg) svc.Request {
+		sub := ""
+		if scanAll || l.shard == owner {
+			sub = req.Op
+		}
+		co.r.perShard[l.shard].Prep.Add(1)
+		return svc.Request{Op: svc.OpPrepare, Sub: sub, Key: req.Key, Val: req.Val, Eff: l.eff}
+	})
+	var refused *svc.Response
+	prepared := make([]leg, 0, len(legs))
+	for i := range legs {
+		l := &legs[i]
+		if l.err == nil && l.resp.Status == svc.StatusPrepared {
+			l.prepID = l.id
+			prepared = append(prepared, *l)
+		} else if refused == nil {
+			// The member refused (busy/rejected), the hold resolved before
+			// starting, or the leg was lost; relay the first such verdict
+			// after releasing the rest.
+			refused = l.failure("prepare")
+		}
+	}
+	if refused != nil {
+		co.exchange(prepared, func(l *leg) svc.Request {
+			return svc.Request{Op: svc.OpAbort, Target: l.prepID}
+		})
+		return refused
+	}
+	// Phase 2: every member holds; commit them all and combine outcomes.
+	co.exchange(legs, func(l *leg) svc.Request {
+		return svc.Request{Op: svc.OpCommit, Target: l.prepID}
+	})
+	return co.combine(legs, owner, scanAll, "commit")
+}
+
 // runSerial is the stop-the-world fallback lane: quiesce every forwarded
-// op (flow write-lock), then run the pieces one by one as plain data ops
-// on the coordinator connections. Nothing else is in flight anywhere in
-// the fleet while it runs, which is the whole atomicity argument.
-func (co *coordinator) runSerial(clientSid int, req *svc.Request, declared effect.Set, mask uint64, owner int, scanAll bool) *svc.Response {
+// op (flow write-lock), then run the pieces as plain data ops on the
+// coordinator connections. Nothing else is in flight anywhere in the
+// fleet while they run, which is the whole atomicity argument.
+func (co *coordinator) runSerial(clientSid int, req *svc.Request, memo *routeMemo, owner int, scanAll bool) *svc.Response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.r.flow.Lock()
 	defer co.r.flow.Unlock()
-	out := &svc.Response{Status: svc.StatusOK}
-	var sum, ownerVal int64
-	for k := 0; k < co.r.n; k++ {
-		if mask&(1<<uint(k)) == 0 {
-			continue
-		}
-		if !scanAll && k != owner {
-			continue // nothing to run here, and nothing to hold: the world is stopped
-		}
-		c, err := co.conn(k)
-		if err != nil {
-			return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d unavailable: %v", k, err)}
-		}
-		eff, err := rewriteFor(declared, clientSid, c)
-		if err != nil {
-			return &svc.Response{Status: svc.StatusRejected, Err: err.Error()}
-		}
-		co.nextID++
-		co.r.perShard[k].Fwd.Add(1)
-		resp, err := c.Do(&svc.Request{ID: co.nextID, Op: req.Op, Key: req.Key, Val: req.Val, Eff: eff})
-		if err != nil {
-			co.dropConn(k)
-			return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d: %v", k, err)}
-		}
-		if resp.Status != svc.StatusOK {
-			if out.Status == svc.StatusOK {
-				out = &svc.Response{Status: resp.Status, Err: resp.Err}
-			}
-			continue
-		}
-		co.r.perShard[k].Srv.Add(1)
-		sum += resp.Val
-		if k == owner {
-			ownerVal = resp.Val
-		}
+	mask := memo.dec.Mask
+	if !scanAll {
+		mask = 1 << uint(owner) // nothing to run elsewhere, and nothing to hold: the world is stopped
 	}
-	if out.Status == svc.StatusOK {
-		if scanAll {
-			out.Val = sum
-		} else {
-			out.Val = ownerVal
-		}
+	legs, fail := co.open(clientSid, memo, mask)
+	if fail != nil {
+		return fail
 	}
-	return out
+	co.exchange(legs, func(l *leg) svc.Request {
+		co.r.perShard[l.shard].Fwd.Add(1)
+		return svc.Request{Op: req.Op, Key: req.Key, Val: req.Val, Eff: l.eff}
+	})
+	return co.combine(legs, owner, scanAll, "piece")
 }

@@ -302,18 +302,21 @@ func (r *Router) Drain(timeout time.Duration) error {
 }
 
 // routeMemo caches one declared effect's routing work: the decision and
-// the rewritten effect string per member (filled lazily as upstreams
+// the rewritten effect string per member (filled lazily as connections
 // dial). v1 keys the memo by the effect string, v2 by the connection's
 // effect ref (validated against the resolved set, since refs may be
-// re-registered). Each rewritten string remembers the upstream session
-// id it was computed for: a member re-dial gets a fresh sid, and
-// forwarding a stale Session:[oldSid] rewrite would land the op in
-// another session's namespace.
+// re-registered). A single-member decision rewrites into the session's
+// upstream, a cross or global one into the coordinator's connection;
+// the decision is fixed, so a memo only ever serves one of the two.
+// Each rewritten string remembers the session id it was computed for:
+// a member re-dial gets a fresh sid, and sending a stale
+// Session:[oldSid] rewrite would land the op in another session's
+// namespace.
 type routeMemo struct {
 	set       effect.Set
 	dec       Decision
 	rewritten []string // per member; "" = not yet computed
-	rewSID    []int    // upstream sid rewritten[k] was computed against
+	rewSID    []int    // connection sid rewritten[k] was computed against
 }
 
 func newRouteMemo(set effect.Set, n int) *routeMemo {
@@ -321,12 +324,27 @@ func newRouteMemo(set effect.Set, n int) *routeMemo {
 		rewritten: make([]string, n), rewSID: make([]int, n)}
 }
 
+// rewrite returns the declared effect mapped from the client's session
+// clientSid into member k's connection session upSID.
+func (m *routeMemo) rewrite(k, clientSid, upSID int) (string, error) {
+	if m.rewritten[k] == "" || m.rewSID[k] != upSID {
+		rw, err := RewriteSession(m.set, clientSid, upSID)
+		if err != nil {
+			return "", err
+		}
+		m.rewritten[k], m.rewSID[k] = rw.String(), upSID
+	}
+	return m.rewritten[k], nil
+}
+
 // upConn is one session's connection to one member. dead is closed by
 // its recvLoop on exit; forwards check it after registering an entry so
 // an op can never be parked on a connection nobody is reading from.
+// dirty marks sent-but-unflushed requests (reader goroutine only).
 type upConn struct {
-	c    *svc.Client
-	dead chan struct{}
+	c     *svc.Client
+	dead  chan struct{}
+	dirty bool
 }
 
 // proxyEntry is one response owed to the client: either forwarded (resp
@@ -357,6 +375,10 @@ type rsession struct {
 	// the next forward re-dials instead of writing into a dead socket.
 	ups []*upConn
 	wg  sync.WaitGroup // outstanding counted entries (cross-op barrier)
+
+	// dirty lists the upstreams holding unflushed requests (reader
+	// goroutine only); see flushDirty for when they are pushed.
+	dirty []*upConn
 
 	memoV1 map[string]*routeMemo // bounded by cfg.EffCacheSize
 	memoV2 []*routeMemo
@@ -410,10 +432,14 @@ func (s *rsession) main() {
 
 func (s *rsession) reader() {
 	for {
+		if !s.sc.RequestBuffered() {
+			s.flushDirty() // the next read may wait on the client
+		}
 		var req svc.Request
 		if err := s.sc.ReadRequest(&req); err != nil {
 			var ne net.Error
 			if s.r.draining.Load() && errors.As(err, &ne) && ne.Timeout() {
+				s.flushDirty()
 				return // graceful drain: stop reading, let pendings flush
 			}
 			// Disconnect: best-effort cancel of everything still
@@ -525,8 +551,9 @@ func (s *rsession) handleData(req *svc.Request) {
 		// connections is otherwise unordered), then run the lane
 		// synchronously. Later ops are not even read until it finishes,
 		// so program order holds on both sides.
+		s.flushDirty()
 		s.wg.Wait()
-		resp := s.r.crossOp(s.sid, req, memo.set, memo.dec)
+		resp := s.r.crossOp(s.sid, req, memo)
 		resp.ID = req.ID
 		s.r.classify(resp.Status)
 		s.local(resp)
@@ -584,6 +611,7 @@ func (s *rsession) upstream(k int) (*upConn, error) {
 	if u != nil {
 		return u, nil
 	}
+	s.flushDirty()
 	c, err := svc.DialProto(s.r.cfg.Shards[k], svc.ProtoV2)
 	if err != nil {
 		return nil, err
@@ -606,19 +634,20 @@ func (s *rsession) forward(k int, req *svc.Request, memo *routeMemo) {
 			Err: fmt.Sprintf("member %d unavailable: %v", k, err)})
 		return
 	}
-	if memo.rewritten[k] == "" || memo.rewSID[k] != u.c.SID {
-		rw, err := RewriteSession(memo.set, s.sid, u.c.SID)
-		if err != nil {
-			s.r.m.Rejected.Add(1)
-			s.local(&svc.Response{ID: req.ID, Status: svc.StatusRejected, Err: err.Error()})
-			return
-		}
-		memo.rewritten[k] = rw.String()
-		memo.rewSID[k] = u.c.SID
+	eff, err := memo.rewrite(k, s.sid, u.c.SID)
+	if err != nil {
+		s.r.m.Rejected.Add(1)
+		s.local(&svc.Response{ID: req.ID, Status: svc.StatusRejected, Err: err.Error()})
+		return
 	}
 	e := &proxyEntry{id: req.ID, shard: k, counted: true, isData: true,
 		sent: time.Now(), done: make(chan struct{})}
-	s.r.flow.RLock()
+	if !s.r.flow.TryRLock() {
+		// A serial round is waiting for every forward in flight, this
+		// session's unflushed ones included.
+		s.flushDirty()
+		s.r.flow.RLock()
+	}
 	s.r.m.IncInflight()
 	s.r.perShard[k].Fwd.Add(1)
 	s.wg.Add(1)
@@ -626,36 +655,76 @@ func (s *rsession) forward(k int, req *svc.Request, memo *routeMemo) {
 	s.byID[req.ID] = e
 	s.mu.Unlock()
 	fwd := svc.Request{ID: req.ID, Op: req.Op, Key: req.Key, Val: req.Val,
-		Eff: memo.rewritten[k], Trace: req.Trace}
+		Eff: eff, Trace: req.Trace}
 	s.dispatch(u, e, &fwd, "send failed")
 }
 
-// dispatch writes an already-registered entry's request to its upstream
-// and hands the entry to the writer. If the send fails — or the
-// upstream's recvLoop has already exited, in which case a send can
-// still "succeed" into the kernel buffer of a half-dead socket with
-// nobody left to match the response — the entry is failed locally.
-// Settlement stays single-shot either way: failEntry only settles if
-// the entry is still registered, and the dead-channel check is ordered
-// against recvLoop's orphan sweep (dead is closed before the sweep;
-// the entry was registered before this check), so an entry registered
-// after the sweep is always caught here. The failure error reads
-// "member <e.shard> <failure>" and is formatted only when it is used.
+// dispatch buffers an already-registered entry's request on its
+// upstream and hands the entry to the writer; the request goes out at
+// the session's next flushDirty. If the send fails — or the upstream's
+// recvLoop has already exited, in which case a send can still
+// "succeed" with nobody left to match the response — the entry is
+// failed locally. Settlement stays single-shot either way: failEntry
+// only settles if the entry is still registered, and the dead-channel
+// check is ordered against recvLoop's orphan sweep (dead is closed
+// before the sweep; the entry was registered before this check), so an
+// entry registered after the sweep is always caught here. The failure
+// error reads "member <e.shard> <failure>" and is formatted only when
+// it is used.
 func (s *rsession) dispatch(u *upConn, e *proxyEntry, fwd *svc.Request, failure string) {
-	err := u.c.Send(fwd)
-	if err == nil {
-		err = u.c.Flush()
-	}
-	if err == nil {
+	if s.send(u, fwd) {
 		select {
 		case <-u.dead: // recvLoop has exited; fail the entry below
 		default:
-			s.q <- e
+			s.enqueue(e)
 			return
 		}
 	}
 	s.failEntry(e, fmt.Errorf("member %d %s", e.shard, failure))
-	s.q <- e
+	s.enqueue(e)
+}
+
+// send buffers req on u and lists u for the next flushDirty. A failed
+// send closes the upstream, as a failed flush does.
+func (s *rsession) send(u *upConn, req *svc.Request) bool {
+	if err := u.c.Send(req); err != nil {
+		u.c.Close()
+		return false
+	}
+	if !u.dirty {
+		u.dirty = true
+		s.dirty = append(s.dirty, u)
+	}
+	return true
+}
+
+// flushDirty pushes every upstream's buffered requests to its member,
+// one write per upstream however many forwards it carries. The reader
+// calls it whenever it is about to wait on something an unflushed
+// forward may be holding up: a read with no whole request buffered, the
+// flow lock, the cross-op barrier, a full writer queue, an upstream
+// dial, and its own exit (DESIGN.md §16). A failed flush closes that
+// upstream; its recvLoop then fails every entry the member owed.
+func (s *rsession) flushDirty() {
+	for i, u := range s.dirty {
+		u.dirty = false
+		if u.c.Flush() != nil {
+			u.c.Close()
+		}
+		s.dirty[i] = nil
+	}
+	s.dirty = s.dirty[:0]
+}
+
+// enqueue hands e to the writer. A full queue means the writer waits on
+// an older entry, which may be an unflushed forward: flush first.
+func (s *rsession) enqueue(e *proxyEntry) {
+	select {
+	case s.q <- e:
+	default:
+		s.flushDirty()
+		s.q <- e
+	}
 }
 
 // recvLoop matches member k's responses to their entries. On upstream
@@ -746,13 +815,14 @@ func (s *rsession) failEntry(e *proxyEntry, err error) {
 func (s *rsession) local(resp *svc.Response) {
 	e := &proxyEntry{id: resp.ID, shard: -1, resp: resp, done: make(chan struct{})}
 	close(e.done)
-	s.q <- e
+	s.enqueue(e)
 }
 
 // cancelOutstanding fires best-effort cancels for every op still in
-// flight after a client disconnect and returns how many there were. The
-// responses to the cancels themselves are discarded by recvLoop (their
-// ids are never registered).
+// flight after a client disconnect and returns how many there were: it
+// queues every cancel, then flushes each upstream once. The responses
+// to the cancels themselves are discarded by recvLoop (their ids are
+// never registered).
 func (s *rsession) cancelOutstanding() int {
 	s.mu.Lock()
 	type tgt struct {
@@ -768,10 +838,10 @@ func (s *rsession) cancelOutstanding() int {
 	s.mu.Unlock()
 	for _, t := range tgts {
 		if t.u != nil {
-			t.u.c.Send(&svc.Request{ID: 0, Op: svc.OpCancel, Target: t.id})
-			t.u.c.Flush()
+			s.send(t.u, &svc.Request{ID: 0, Op: svc.OpCancel, Target: t.id})
 		}
 	}
+	s.flushDirty()
 	return len(tgts)
 }
 

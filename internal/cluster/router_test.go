@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,14 +22,25 @@ type fleet struct {
 
 func startFleet(t *testing.T, n int, lane string) *fleet {
 	t.Helper()
+	return startFleetWith(t, n, lane, nil)
+}
+
+// startFleetWith is startFleet with a hook that adjusts member i's
+// configuration before it starts.
+func startFleetWith(t *testing.T, n int, lane string, tweak func(i int, c *svc.Config)) *fleet {
+	t.Helper()
 	f := &fleet{}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		s, err := svc.Start(svc.Config{
+		cfg := svc.Config{
 			ShardID:   i,
 			Advertise: fmt.Sprintf("inproc-shard-%d", i),
 			Isolcheck: true,
-		})
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
+		}
+		s, err := svc.Start(cfg)
 		if err != nil {
 			t.Fatalf("start shard %d: %v", i, err)
 		}
@@ -495,5 +509,392 @@ func TestMemoV1Bounded(t *testing.T) {
 	}
 	if err := s.Drain(5 * time.Second); err != nil {
 		t.Errorf("shard drain: %v", err)
+	}
+}
+
+// recvAll reads n responses within a 5 s deadline: a session whose
+// forwards sit unflushed while it waits would hang, and the deadline
+// turns that hang into a failure.
+func recvAll(t *testing.T, c *svc.Client, n int) []*svc.Response {
+	t.Helper()
+	c.RawConn().SetReadDeadline(time.Now().Add(5 * time.Second))
+	out := make([]*svc.Response, 0, n)
+	for i := 0; i < n; i++ {
+		resp, err := c.Recv()
+		if err != nil {
+			t.Fatalf("response %d of %d: %v (a forward left unflushed?)", i+1, n, err)
+		}
+		out = append(out, resp)
+	}
+	return out
+}
+
+// TestFlushPointsBurst: the router flushes forwards once per client
+// read, so a whole pipeline that arrives in one read must still reach
+// the members before the session waits on them: (a) puts ahead of a
+// scan wait at the cross-op barrier, (b) more gets than the writer
+// queue holds wait at the full queue. Each pipeline goes out in one
+// Write, on both cross lanes.
+func TestFlushPointsBurst(t *testing.T) {
+	cases := []struct {
+		name string
+		op   string
+		n    int
+		scan int64 // the scan's expected sum
+	}{
+		{"puts-then-scan", svc.OpPut, 8, 7 + 8},
+		{"gets-overflow-queue", svc.OpGet, 300, 0},
+	}
+	for _, lane := range []string{"2pc", "serial"} {
+		for _, tc := range cases {
+			t.Run(lane+"/"+tc.name, func(t *testing.T) {
+				f := startFleet(t, 2, lane)
+				c, err := svc.DialProto(f.addr, svc.ProtoV2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < tc.n; i++ {
+					key := i % 2 // both members
+					req := svc.Request{ID: uint64(i + 1), Op: tc.op, Key: key, Val: int64(i + 1)}
+					if tc.op == svc.OpPut {
+						req.Eff = svc.PutEffect(c.Shards, key, c.SID)
+					} else {
+						req.Eff = svc.GetEffect(c.Shards, key, c.SID)
+					}
+					if err := c.Send(&req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.Send(&svc.Request{ID: uint64(tc.n + 1), Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				resps := recvAll(t, c, tc.n+1)
+				for i, resp := range resps {
+					if resp.ID != uint64(i+1) || resp.Status != svc.StatusOK {
+						t.Fatalf("response %d: id %d status %q (%s)", i+1, resp.ID, resp.Status, resp.Err)
+					}
+				}
+				if got := resps[tc.n].Val; got != tc.scan {
+					t.Fatalf("scan after the pipeline read %d, want %d", got, tc.scan)
+				}
+				c.Close()
+				awaitFleetClean(t, f.router)
+				f.drainClean(t)
+			})
+		}
+	}
+}
+
+// TestFlushPointHalfFrame: (c) a v2 session's puts arrive in the same
+// read as the first half of its next frame. Its reader then waits on the
+// socket with a request buffered, but not a whole one, and must have
+// flushed the puts first: they hold the flow lock a second session's
+// serial-lane scan waits for.
+func TestFlushPointHalfFrame(t *testing.T) {
+	f := startFleet(t, 2, "serial")
+	// The first session reaches the router through a tap that hands its
+	// request bytes to the test, so the test decides where a Write ends.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type tap struct{ client, up net.Conn }
+	taps := make(chan tap, 1)
+	go func() {
+		cl, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		up, err := net.Dial("tcp", f.addr)
+		if err != nil {
+			cl.Close()
+			return
+		}
+		var pre [4]byte
+		if _, err := io.ReadFull(cl, pre[:]); err == nil {
+			up.Write(pre[:])
+		}
+		go io.Copy(cl, up)
+		taps <- tap{cl, up}
+	}()
+	c1, err := svc.DialProto(ln.Addr().String(), svc.ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := <-taps
+	defer tp.up.Close()
+	defer tp.client.Close()
+	// captured returns what c1 wrote by its last Flush.
+	captured := func() []byte {
+		var out []byte
+		buf := make([]byte, 64<<10)
+		for {
+			tp.client.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+			n, err := tp.client.Read(buf)
+			out = append(out, buf[:n]...)
+			if err != nil {
+				return out
+			}
+		}
+	}
+	put := func(id uint64) {
+		if err := c1.Send(&svc.Request{ID: id, Op: svc.OpPut, Key: 0, Val: int64(id),
+			Eff: svc.PutEffect(c1.Shards, 0, c1.SID)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush := func(c *svc.Client) {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(1); id <= 4; id++ {
+		put(id)
+	}
+	flush(c1)
+	puts := captured()
+	put(5)
+	flush(c1)
+	last := captured()
+	if len(puts) == 0 || len(last) < 2 {
+		t.Fatalf("tap captured %d and %d bytes", len(puts), len(last))
+	}
+	half := len(last) / 2
+	if _, err := tp.up.Write(append(puts, last[:half]...)); err != nil {
+		t.Fatal(err)
+	}
+	// Start the scan only once the router has read the four puts.
+	for deadline := time.Now().Add(5 * time.Second); f.router.Metrics().Requests.Load() < 4; {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never read the four puts")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c2, err := svc.DialProto(f.addr, svc.ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Send(&svc.Request{ID: 1, Op: svc.OpScan, Eff: svc.ScanEffect(c2.SID)}); err != nil {
+		t.Fatal(err)
+	}
+	flush(c2)
+	scan := recvAll(t, c2, 1)[0]
+	if scan.Status != svc.StatusOK || scan.Val != 4 {
+		t.Fatalf("serial scan: status %q val %d (%s), want ok 4", scan.Status, scan.Val, scan.Err)
+	}
+
+	if _, err := tp.up.Write(last[half:]); err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range recvAll(t, c1, 5) {
+		if resp.ID != uint64(i+1) || resp.Status != svc.StatusOK {
+			t.Fatalf("put %d: id %d status %q (%s)", i+1, resp.ID, resp.Status, resp.Err)
+		}
+	}
+	c1.Close()
+	c2.Close()
+	tp.up.Close()
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
+}
+
+// TestFlushPointBadFrame: (d) puts arrive in the same read as a whole
+// but malformed frame. The read fails without waiting, so the reader's
+// exit must flush the puts: the writer answers them before it closes
+// the connection.
+func TestFlushPointBadFrame(t *testing.T) {
+	f := startFleet(t, 2, "2pc")
+	c, err := svc.DialProto(f.addr, svc.ProtoV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var burst bytes.Buffer
+	for id := uint64(1); id <= 4; id++ {
+		key := int(id % 2)
+		if err := svc.WriteFrame(&burst, &svc.Request{ID: id, Op: svc.OpPut, Key: key, Val: int64(id),
+			Eff: svc.PutEffect(c.Shards, key, c.SID)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst.Write([]byte{0, 0, 0, 3, 'b', 'a', 'd'})
+	if _, err := c.RawConn().Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range recvAll(t, c, 4) {
+		if resp.ID != uint64(i+1) || (resp.Status != svc.StatusOK && resp.Status != svc.StatusCancelled) {
+			t.Fatalf("put %d: id %d status %q (%s)", i+1, resp.ID, resp.Status, resp.Err)
+		}
+	}
+	c.Close()
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
+}
+
+// TestAbortConcurrentLegs: a round sends its prepares at once, so one
+// member can refuse while another has already prepared. Member 1 takes
+// one op at a time and is busy with a parked put; the scan must answer
+// busy, member 0's prepared hold must be aborted before the answer, and
+// the fleet must account cleanly once the put is released.
+func TestAbortConcurrentLegs(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	f := startFleetWith(t, 2, "2pc", func(i int, c *svc.Config) {
+		if i != 1 {
+			return
+		}
+		c.MaxInflight = 1
+		c.Hold = func(op string, key int) {
+			if op == svc.OpPut {
+				entered <- struct{}{}
+				<-release
+			}
+		}
+	})
+	c1, err := svc.Dial(f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putDone := make(chan error, 1)
+	go func() {
+		resp, err := c1.Put(1, 5) // key 1 lives on member 1
+		if err == nil && resp.Status != svc.StatusOK {
+			err = fmt.Errorf("put: status %q (%s)", resp.Status, resp.Err)
+		}
+		putDone <- err
+	}()
+	<-entered
+
+	c2, err := svc.Dial(f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c2.Do(&svc.Request{Op: svc.OpScan, Eff: svc.ScanEffect(c2.SID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != svc.StatusBusy {
+		t.Fatalf("scan with member 1 full: status %q (%s), want busy", resp.Status, resp.Err)
+	}
+	m0 := f.shards[0]
+	if held := m0.DebugSnapshot(1).HeldPrepares; held != 0 {
+		t.Errorf("member 0 still holds %d prepare(s) after the round answered", held)
+	}
+	if aborts := m0.Metrics().Aborts.Load(); aborts != 1 {
+		t.Errorf("member 0 aborts = %d, want 1", aborts)
+	}
+	close(release)
+	if err := <-putDone; err != nil {
+		t.Fatal(err)
+	}
+	c1.Close()
+	c2.Close()
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
+}
+
+// fakeMember speaks just enough of the v1 wire to pass for a member:
+// a hello with the default geometry, then a StatusPrepared reply to
+// every request, under the wrong id. A connection that carried a
+// request reports its close on closed.
+func fakeMember(t *testing.T) (addr string, closed <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan struct{}, 16) // more than one test's connections: a close never blocks
+	go func() {
+		for sid := 0; ; sid++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(sid int) {
+				defer conn.Close()
+				var pre [4]byte
+				if _, err := io.ReadFull(conn, pre[:]); err != nil {
+					return
+				}
+				hello := svc.Response{Status: svc.StatusHello, Val: int64(sid),
+					Stats: &svc.StatsBody{Sched: "tree", Shards: 8, Keys: 256}}
+				if svc.WriteFrame(conn, &hello) != nil {
+					return
+				}
+				served := false
+				for {
+					var req svc.Request
+					if err := svc.ReadFrame(conn, &req); err != nil {
+						if served {
+							ch <- struct{}{}
+						}
+						return
+					}
+					served = true
+					if svc.WriteFrame(conn, &svc.Response{ID: req.ID + 1000, Status: svc.StatusPrepared}) != nil {
+						return
+					}
+				}
+			}(sid)
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
+// TestCoordinatorReplyIDMismatch: the coordinator pairs every reply with
+// the request it sent on that connection. A member answering under the
+// wrong id is out of step: its connection is dropped, the round answers
+// error, and the legs that did prepare are aborted.
+func TestCoordinatorReplyIDMismatch(t *testing.T) {
+	s, err := svc.Start(svc.Config{Isolcheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake, closed := fakeMember(t)
+	r, err := New(Config{Shards: []string{s.Addr(), fake}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(ln)
+	c, err := svc.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Do(&svc.Request{Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != svc.StatusError || !strings.Contains(resp.Err, "reply id") {
+		t.Fatalf("scan against an out-of-step member: status %q (%s), want error naming the reply id", resp.Status, resp.Err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the out-of-step coordinator connection was never dropped")
+	}
+	if held := s.DebugSnapshot(1).HeldPrepares; held != 0 {
+		t.Errorf("member 0 still holds %d prepare(s)", held)
+	}
+	if aborts := s.Metrics().Aborts.Load(); aborts != 1 {
+		t.Errorf("member 0 aborts = %d, want 1", aborts)
+	}
+	c.Close()
+	if err := r.Drain(5 * time.Second); err != nil {
+		t.Errorf("router drain: %v", err)
+	}
+	if err := s.Drain(5 * time.Second); err != nil {
+		t.Errorf("member drain: %v", err)
+	}
+	if v := s.Violations(); len(v) != 0 {
+		t.Errorf("isolation violations: %v", v)
 	}
 }

@@ -1,6 +1,7 @@
 // The cluster admission model (DESIGN.md §16): an explicit-state
 // rendering of the cross-shard two-phase lane — coordinator rounds
-// acquiring prepared holds member by member, commits running leg bodies
+// acquiring prepared holds member by member (in ascending order, or in
+// any order with ParallelLegs), commits running leg bodies
 // and releasing per member, aborts releasing everything — interleaved
 // with ordinary single-member traffic. The same BFS machinery as the
 // single-node model (explore.go), with its own state packing and
@@ -58,9 +59,11 @@ const ResAll = -1
 // catches it.
 type ClusterMutations struct {
 	// ConcurrentRounds removes the coordinator mutex: several multi-leg
-	// rounds may hold prepares at once. Alone this is SAFE — ascending
-	// acquisition order is deadlock-free and hold-all-before-run keeps
-	// rounds serializable — which is exactly what exploring it proves.
+	// rounds may hold prepares at once. With ascending acquisition this
+	// alone is SAFE — the order is deadlock-free and hold-all-before-run
+	// keeps rounds serializable — which is exactly what exploring it
+	// proves. With ParallelLegs it deadlocks: the mutex is then the
+	// deadlock-freedom argument.
 	ConcurrentRounds bool
 	// UnorderedPrepare additionally lets odd-indexed ops acquire their
 	// legs in descending member order (implies ConcurrentRounds). Caught
@@ -87,7 +90,11 @@ type ClusterConfig struct {
 	// anything yet (modeling prepare-hold expiry, client cancellation,
 	// and coordinator failure before the commit point).
 	AllowAbort bool
-	Mutations  ClusterMutations
+	// ParallelLegs lets a round acquire its legs in any order, as the
+	// implementation's rounds do: they send every prepare at once, so
+	// the holds land in whatever order the members admit them.
+	ParallelLegs bool
+	Mutations    ClusterMutations
 }
 
 // Validate rejects configurations the checker cannot represent.
@@ -246,21 +253,30 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 			out = append(out, csuccEdge{Step{"start", i}, ns})
 
 		case cRound:
-			// Prepare the next leg if its member admits the hold.
+			// Prepare the next leg — or, with ParallelLegs, any leg not
+			// yet acquired — if its member admits the hold.
 			if p := s.prep(i); p < len(legs) {
-				m := legs[p]
-				bit := uint16(1) << uint(m)
-				free := true
-				for j := 0; j < cc.n && free; j++ {
-					if j != i && s.hold(j)&cc.conflict[i][j]&bit != 0 {
-						free = false
-					}
+				next := legs[p : p+1]
+				if cc.cfg.ParallelLegs {
+					next = legs
 				}
-				if free {
-					ns := s
-					ns.setPrep(i, p+1)
-					ns.setHold(i, s.hold(i)|bit)
-					out = append(out, csuccEdge{Step{"prepare", i}, ns})
+				for _, m := range next {
+					bit := uint16(1) << uint(m)
+					if (s.hold(i)|s.ran(i))&bit != 0 {
+						continue // acquired already
+					}
+					free := true
+					for j := 0; j < cc.n && free; j++ {
+						if j != i && s.hold(j)&cc.conflict[i][j]&bit != 0 {
+							free = false
+						}
+					}
+					if free {
+						ns := s
+						ns.setPrep(i, p+1)
+						ns.setHold(i, s.hold(i)|bit)
+						out = append(out, csuccEdge{Step{"prepare", i}, ns})
+					}
 				}
 			}
 			// Commit legs: each runs the leg body, records ordering against
@@ -455,8 +471,20 @@ func ClusterExplore(cfg *ClusterConfig, opts ExploreOpts) (*Result, error) {
 
 // ClusterPresets returns the cluster configurations CI explores: the
 // acceptance world (two cross rounds, a scan, and per-member traffic
-// with aborts) plus the single-lane corners.
+// with aborts) plus the single-lane corners, each once with ascending
+// leg acquisition and once, as "<name>-parallel", with ParallelLegs —
+// the order the implementation's rounds actually acquire in.
 func ClusterPresets() []*ClusterConfig {
+	out := ascendingPresets()
+	for _, c := range ascendingPresets() {
+		c.Name += "-parallel"
+		c.ParallelLegs = true
+		out = append(out, c)
+	}
+	return out
+}
+
+func ascendingPresets() []*ClusterConfig {
 	return []*ClusterConfig{
 		{
 			// Two disjoint-resource cross rounds and a member-local op:

@@ -31,12 +31,17 @@ func TestClusterPresetsClean(t *testing.T) {
 	}
 }
 
-// TestClusterConcurrentRoundsSafe: removing the coordinator mutex alone
-// is safe — ascending acquisition is deadlock-free and
-// hold-all-before-run keeps rounds serializable. The mutex buys
-// simplicity, not safety, and the model proves it.
+// TestClusterConcurrentRoundsSafe: under ascending acquisition,
+// removing the coordinator mutex alone is safe — the order is
+// deadlock-free and hold-all-before-run keeps rounds serializable. There
+// the mutex buys simplicity, not safety, and the model proves it. The
+// parallel-legs presets acquire in any order and are left to
+// TestClusterParallelLegsNeedMutex.
 func TestClusterConcurrentRoundsSafe(t *testing.T) {
 	for _, cfg := range ClusterPresets() {
+		if cfg.ParallelLegs {
+			continue
+		}
 		cfg.Mutations.ConcurrentRounds = true
 		res := clusterExplore(t, cfg)
 		if res.Violation != nil {
@@ -45,6 +50,33 @@ func TestClusterConcurrentRoundsSafe(t *testing.T) {
 		if !res.Complete {
 			t.Errorf("%s + concurrent rounds: exploration incomplete", cfg.Name)
 		}
+	}
+}
+
+// TestClusterParallelLegsNeedMutex: a round that sends every prepare at
+// once acquires its legs in any order, so two concurrent rounds can each
+// hold one member the other waits on. Every parallel-legs preset is
+// clean under the coordinator mutex (TestClusterPresetsClean); without
+// it the two conflicting rounds of cross-conflict deadlock. The mutex
+// is the deadlock-freedom argument of the implementation's lane.
+func TestClusterParallelLegsNeedMutex(t *testing.T) {
+	n := 0
+	for _, cfg := range ClusterPresets() {
+		if cfg.ParallelLegs {
+			n++
+		}
+	}
+	if n != len(ascendingPresets()) {
+		t.Fatalf("%d parallel-legs presets, want one per ascending preset (%d)", n, len(ascendingPresets()))
+	}
+	cfg := ClusterPreset("cross-conflict-parallel")
+	if cfg == nil || !cfg.ParallelLegs {
+		t.Fatal("no parallel-legs cross-conflict preset")
+	}
+	cfg.Mutations.ConcurrentRounds = true
+	res := clusterExplore(t, cfg)
+	if res.Violation == nil || res.Violation.Invariant != "deadlock" {
+		t.Fatalf("parallel legs without the mutex: want a deadlock, got %v", res.Violation)
 	}
 }
 
@@ -59,6 +91,10 @@ func TestClusterMutationsCaught(t *testing.T) {
 	}{
 		{"unordered-prepare-deadlocks", "cross-conflict",
 			func(m *ClusterMutations) { m.UnorderedPrepare = true }, "deadlock"},
+		{"parallel-legs-concurrent-deadlocks", "cross-conflict-parallel",
+			func(m *ClusterMutations) { m.ConcurrentRounds = true }, "deadlock"},
+		{"early-commit-parallel-breaks-atomicity", "cross-full-parallel",
+			func(m *ClusterMutations) { m.EarlyCommit = true }, "C2-all-or-nothing"},
 		{"early-commit-breaks-atomicity", "cross-full",
 			func(m *ClusterMutations) { m.EarlyCommit = true }, "C2-all-or-nothing"},
 		{"early-commit-concurrent-crosses", "cross-conflict",

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bufio"
+	"encoding/binary"
 	"net"
 )
 
@@ -17,6 +18,7 @@ import (
 type ServerConn struct {
 	codec serverCodec
 	v2    *v2ServerCodec // nil on v1 connections
+	br    *bufio.Reader
 }
 
 // NewServerConn consumes the connection preamble from br and returns
@@ -29,7 +31,7 @@ func NewServerConn(br *bufio.Reader, bw *bufio.Writer, cache *EffectCache, m *Me
 	if err != nil {
 		return nil, err
 	}
-	sc := &ServerConn{}
+	sc := &ServerConn{br: br}
 	if proto == ProtoV2 {
 		if m == nil {
 			m = &Metrics{}
@@ -45,6 +47,30 @@ func NewServerConn(br *bufio.Reader, bw *bufio.Writer, cache *EffectCache, m *Me
 
 // ReadRequest decodes the next request frame (reader goroutine only).
 func (c *ServerConn) ReadRequest(req *Request) error { return c.codec.ReadRequest(req) }
+
+// RequestBuffered reports whether a whole request frame is already in
+// the read buffer, so that the next ReadRequest returns without waiting
+// on the socket (reader goroutine only). Complete v2 register-effect and
+// connection-options frames ahead of it are skipped, since ReadRequest
+// consumes those silently; a registration followed by half a submit
+// frame reads as "would wait". It only peeks: nothing is consumed.
+func (c *ServerConn) RequestBuffered() bool {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	if c.v2 == nil {
+		return len(buf) >= 4 && uint64(len(buf)-4) >= uint64(binary.BigEndian.Uint32(buf))
+	}
+	for {
+		n, k := binary.Uvarint(buf)
+		if k <= 0 || uint64(len(buf)-k) < n {
+			return false
+		}
+		frame := buf[k : k+int(n)]
+		if n == 0 || (frame[0] != v2FrameRegEffect && frame[0] != v2FrameConnOpts) {
+			return true
+		}
+		buf = buf[k+int(n):]
+	}
+}
 
 // WriteResponse encodes one buffered response frame (writer goroutine
 // only; Flush pushes).

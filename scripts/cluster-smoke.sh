@@ -124,6 +124,8 @@ echo '== cluster-smoke 1/4: two-phase spec (explore all presets + mutation) =='
 "$SPEC" -explore -cluster
 "$SPEC" -explore -cluster -preset cross-conflict -mutate unordered-prepare -expect-violation >/dev/null
 echo "cluster-smoke: unordered-prepare mutation caught"
+"$SPEC" -explore -cluster -preset cross-conflict-parallel -mutate concurrent-rounds -expect-violation >/dev/null
+echo "cluster-smoke: parallel legs without the coordinator mutex caught"
 
 echo '== cluster-smoke 2/4: correctness (2 shards, 2pc lane, mixed proto) =='
 start_fleet correctness 2pc
