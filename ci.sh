@@ -6,6 +6,15 @@ set -eu
 echo '== go vet =='
 go vet ./...
 
+# Formatting gate: gofmt -l prints every file whose layout drifted.
+echo '== gofmt =='
+unformatted=$(gofmt -l cmd internal examples)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo '== go build =='
 go build ./...
 
@@ -39,15 +48,16 @@ go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTas
 echo "tree stress: $(($(date +%s) - t0))s wall"
 
 # Cluster relay stress (DESIGN.md §16): the router flushes forwards once
-# per client read and a two-phase round sends its legs at once, so a
-# missed flush point or a mispaired leg reply would be a rare hang or a
-# rare stranded hold. Twenty race-built repetitions of the flush-point,
-# abort-path and load batteries make either a fast failure, and the
-# cluster model re-proves that the coordinator mutex is what keeps
-# concurrent legs deadlock-free.
+# per client read, and a two-phase round runs on the session's own
+# upstreams while later ops flow behind its holds, so a missed flush
+# point, a mispaired leg reply or a reordered session would be a rare
+# hang, a rare stranded hold or a rare wrong read. Twenty race-built
+# repetitions of the flush-point, abort-path, round and load batteries
+# make each a fast failure, and the cluster model re-proves that the
+# coordinator mutex is what keeps concurrent legs deadlock-free.
 echo '== cluster stress =='
 t0=$(date +%s)
-go test -race -count=20 -timeout 600s -run 'Flush|Abort|TestClusterLoad' ./internal/cluster/
+go test -race -count=20 -timeout 600s -run 'Flush|Abort|TestRound|TestClusterLoad' ./internal/cluster/
 go test -count=3 -run Cluster ./internal/spec/
 echo "cluster stress: $(($(date +%s) - t0))s wall"
 

@@ -3,9 +3,10 @@
 // store across a fleet of twe-serve shard processes by top-level
 // effect region. Each request's declared effect routes it to the shard
 // owning its region (session effects rewritten into per-upstream
-// namespaces), cross-shard effects run through a two-phase
-// prepare/commit coordinator (or a serial stop-the-world lane with
-// -cross-lane serial), and everything else lands in the global lane.
+// namespaces), cross-shard effects run through two-phase
+// prepare/commit rounds on each client session's own member connections
+// (or a serial stop-the-world lane with -cross-lane serial), and
+// everything else lands in the global lane.
 //
 // Typical use:
 //

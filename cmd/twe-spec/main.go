@@ -16,7 +16,7 @@
 //
 // Cluster mode (-cluster) switches to the cross-shard two-phase model
 // (DESIGN.md §16): coordinator rounds acquiring prepared holds member
-// by member, with its own invariant catalog (C1..C4 plus deadlock) and
+// by member, with its own invariant catalog (C1..C5 plus deadlock) and
 // its own mutation set.
 //
 // Epoch mode (-epoch) switches to the lock-free admission fast-path
@@ -34,8 +34,9 @@
 //	twe-spec -refine FILE [-partial]
 //
 // Mutations: skip-conflict, skip-register, leak-cancel; with -cluster:
-// concurrent-rounds, unordered-prepare, early-commit, leak-abort; with
-// -epoch: skip-epoch-recheck, skip-publish-check, unbracketed-wake.
+// concurrent-rounds, unordered-prepare, early-commit, leak-abort,
+// prepare-on-foreign-session, commit-before-all-acked; with -epoch:
+// skip-epoch-recheck, skip-publish-check, unbracketed-wake.
 //
 // Exhaustive check of every preset:   twe-spec -explore
 // Prove a mutation is caught:         twe-spec -explore -preset pair -mutate skip-conflict -expect-violation
@@ -64,7 +65,7 @@ func main() {
 	cluster := flag.Bool("cluster", false, "model-check the cross-shard two-phase lane instead of single-node admission")
 	epoch := flag.Bool("epoch", false, "model-check the lock-free admission fast path instead of single-node admission")
 	preset := flag.String("preset", "", "preset name (empty = all presets, for -explore)")
-	mutate := flag.String("mutate", "", "seed a contract break: skip-conflict, skip-register, or leak-cancel (with -cluster: concurrent-rounds, unordered-prepare, early-commit, leak-abort; with -epoch: skip-epoch-recheck, skip-publish-check, unbracketed-wake)")
+	mutate := flag.String("mutate", "", "seed a contract break: skip-conflict, skip-register, or leak-cancel (with -cluster: concurrent-rounds, unordered-prepare, early-commit, leak-abort, prepare-on-foreign-session, commit-before-all-acked; with -epoch: skip-epoch-recheck, skip-publish-check, unbracketed-wake)")
 	expectViolation := flag.Bool("expect-violation", false, "exit 0 only if exploration finds a violation (mutation testing)")
 	maxStates := flag.Int("max-states", 0, "abort exploration beyond this many states (0 = default bound)")
 	partial := flag.Bool("partial", false, "refine a non-quiescent (partial) dump: skip the end-of-log quiescence rule")
@@ -78,8 +79,8 @@ func main() {
 				c.Name, len(c.Tasks), c.AllowCancel, c.MaxInflight)
 		}
 		for _, c := range spec.ClusterPresets() {
-			fmt.Printf("%-24s %d ops over %d members  (abort=%v, parallel legs=%v, cluster)\n",
-				c.Name, len(c.Ops), c.Members, c.AllowAbort, c.ParallelLegs)
+			fmt.Printf("%-24s %d ops over %d members  (abort=%v, parallel legs=%v, prepare mutex=%v, cluster)\n",
+				c.Name, len(c.Ops), c.Members, c.AllowAbort, c.ParallelLegs, c.PrepareMutex)
 		}
 		for _, c := range spec.EpochPresets() {
 			fast := 0
@@ -133,8 +134,12 @@ func clusterConfigs(preset, mutate string) []*spec.ClusterConfig {
 			c.Mutations.EarlyCommit = true
 		case "leak-abort":
 			c.Mutations.LeakOnAbort = true
+		case "prepare-on-foreign-session":
+			c.Mutations.PrepareOnForeignSession = true
+		case "commit-before-all-acked":
+			c.Mutations.CommitBeforeAllAcked = true
 		default:
-			fmt.Fprintf(os.Stderr, "twe-spec: unknown cluster mutation %q (want concurrent-rounds, unordered-prepare, early-commit, or leak-abort)\n", mutate)
+			fmt.Fprintf(os.Stderr, "twe-spec: unknown cluster mutation %q (want concurrent-rounds, unordered-prepare, early-commit, leak-abort, prepare-on-foreign-session, or commit-before-all-acked)\n", mutate)
 			os.Exit(2)
 		}
 	}

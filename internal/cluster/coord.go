@@ -7,36 +7,46 @@ import (
 	"twe/internal/svc"
 )
 
-// coordinator runs the cross-shard lanes (DESIGN.md §16). Both lanes are
-// fully serialized behind mu — one cross-shard op in the system at a
-// time. That is the two-phase lane's deadlock-freedom argument: a round
-// sends all its prepares at once, so its legs acquire their holds in no
-// fixed member order, and two concurrent rounds could each hold one
-// member while waiting on the other; with one round at a time no hold
-// of a round can wait on another round's. Single-shard traffic keeps
-// flowing throughout (2pc lane); the holds themselves provide the
-// atomicity:
+// coordinator orders the cross-shard lanes (DESIGN.md §16): mu admits one
+// round at a time into its prepare phase on the two-phase lane, and one
+// whole op at a time on the serial lane.
 //
-//	prepare every member at once → ack'd StatusPrepared per member
+// The two-phase lane runs each round on the client session's own
+// upstreams, asynchronously to the session's reader:
+//
+//	prepare every member at once → every leg acks StatusPrepared
 //	→ commit every member at once → combine outcomes
 //
 // A prepared ack means the hold's body started, i.e. its effects are
-// held on that member: every conflicting single-shard op admitted before
-// the hold has finished, every one admitted after waits for release. By
-// the time any commit executes, holds exist on *all* touched members, so
-// the committed bodies read/write a consistent cut. On any prepare
-// failure every prepared hold is aborted — release on abort is the
-// shard-side guarantee (svc prepare holds resolve on abort, expiry, or
-// disconnect).
+// held on that member: every conflicting op admitted before the hold has
+// finished, every one admitted after waits for release. By the time any
+// commit executes, holds exist on *all* touched members, so the
+// committed bodies read/write a consistent cut. On any prepare failure
+// every prepared hold is aborted — release on abort is the shard-side
+// guarantee (svc prepare holds resolve on abort, expiry, or disconnect).
+//
+// mu is taken by the reader before the prepares go out and released once
+// every leg has answered its prepare, after the commits (or aborts) are
+// on the wire. That is the lane's deadlock-freedom argument: a round
+// sends all its prepares at once, so its legs acquire their holds in no
+// fixed member order, and two rounds preparing together could each hold
+// one member while waiting on the other; with one round preparing at a
+// time no hold of a preparing round can wait on another preparing
+// round's, and a round past its prepare phase only waits on commits
+// already sent. Program order per session rides on the member: a later
+// op the reader forwards while a round is open writes Session:[u], which
+// the hold's declared Session:[u]:* covers, so the member's Seq chain
+// admits it after the hold.
 //
 // The serial lane instead quiesces the router (flow write-lock): no
-// forwarded op is outstanding anywhere while the pieces run, trading
-// all concurrency for protocol simplicity.
+// forwarded op is outstanding anywhere while the pieces run on the
+// coordinator's own connections, trading all concurrency for protocol
+// simplicity.
 type coordinator struct {
 	r  *Router
 	mu sync.Mutex
 
-	conns  []*svc.Client // per member, protocol v1, lazily dialed
+	conns  []*svc.Client // serial lane only: per member, protocol v1, lazily dialed
 	nextID uint64
 }
 
@@ -48,8 +58,6 @@ func (co *coordinator) conn(k int) (*svc.Client, error) {
 	if c := co.conns[k]; c != nil {
 		return c, nil
 	}
-	// The two-phase ops are v1-only wire ops; the coordinator keeps one
-	// dedicated JSON connection per member.
 	c, err := svc.DialProto(co.r.cfg.Shards[k], svc.ProtoV1)
 	if err != nil {
 		return nil, err
@@ -78,17 +86,13 @@ func (co *coordinator) close() {
 	}
 }
 
-// crossOp admits one cross-shard or global data op over every member in
-// the decision's mask. The response carries the combined outcome: a
-// scan's value is the sum of every member's piece; other ops take the
-// owner member's value. The caller (the session reader) has already
-// barriered its own outstanding single-shard ops, so program order per
-// client holds.
-func (r *Router) crossOp(clientSid int, req *svc.Request, memo *routeMemo) *svc.Response {
-	owner := OwnerOfKey(req.Key, r.storeShards, r.n)
-	scanAll := req.Op == svc.OpScan
-	mask := memo.dec.Mask
-	if !scanAll && mask&(1<<uint(owner)) == 0 {
+// crossPlan checks one cross-shard or global data op and returns the
+// member owning its key and whether it is a scan (whose pieces sum over
+// every member), or the client's answer when the op cannot run.
+func (r *Router) crossPlan(req *svc.Request, memo *routeMemo) (owner int, scanAll bool, reject *svc.Response) {
+	owner = OwnerOfKey(req.Key, r.storeShards, r.n)
+	scanAll = req.Op == svc.OpScan
+	if !scanAll && memo.dec.Mask&(1<<uint(owner)) == 0 {
 		// A non-scan op's body runs only on its key's owner member. If the
 		// declared effect touches several members but none of them is the
 		// owner, every leg would be a pure hold: the op would execute
@@ -96,108 +100,46 @@ func (r *Router) crossOp(clientSid int, req *svc.Request, memo *routeMemo) *svc.
 		// would fire, because the owner (the one whose Covers would
 		// reject) never sees the request. A single node rejects exactly
 		// this shape via Covers; reject it here for the same reason.
-		return &svc.Response{Status: svc.StatusRejected,
+		return 0, false, &svc.Response{Status: svc.StatusRejected,
 			Err: fmt.Sprintf("declared effect does not cover key %d's member %d", req.Key, owner)}
 	}
-	if r.cfg.CrossLane == "serial" {
-		return r.coord.runSerial(clientSid, req, memo, owner, scanAll)
-	}
-	return r.coord.runTwoPhase(clientSid, req, memo, owner, scanAll)
+	return owner, scanAll, nil
 }
 
-// leg is one member's part in a coordinator round.
+// leg is one member's part in a cross-shard op.
 type leg struct {
-	shard  int
-	c      *svc.Client
-	eff    string // the declared effect in c's session namespace
-	prepID uint64 // the leg's prepare (two-phase lane)
+	shard int
+	eff   string        // the declared effect in the leg connection's session namespace
+	resp  *svc.Response // the reply to the current phase; a lost leg reads StatusError
 
-	// The current phase's request and its outcome (see exchange).
-	id   uint64
-	resp *svc.Response
-	err  error
+	// Serial lane: the coordinator connection and the piece's id.
+	c  *svc.Client
+	id uint64
+
+	// Two-phase lane: the round, the session upstream, and the
+	// prepare's id that the commit or abort targets.
+	rd     *round
+	u      *upConn
+	prepID uint64
 }
 
-// open dials (or reuses) the coordinator connection of every member in
-// mask and rewrites the declared effect into each one's session, with
-// the rewrite memoized on the session's route memo. A failure returns
-// the client's answer; nothing has been sent yet.
-func (co *coordinator) open(clientSid int, memo *routeMemo, mask uint64) ([]leg, *svc.Response) {
-	var legs []leg
-	for k := 0; k < co.r.n; k++ {
-		if mask&(1<<uint(k)) == 0 {
-			continue
-		}
-		c, err := co.conn(k)
-		if err != nil {
-			return nil, &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d unavailable: %v", k, err)}
-		}
-		eff, err := memo.rewrite(k, clientSid, c.SID)
-		if err != nil {
-			return nil, &svc.Response{Status: svc.StatusRejected, Err: err.Error()}
-		}
-		legs = append(legs, leg{shard: k, c: c, eff: eff})
-	}
-	return legs, nil
-}
-
-// exchange runs one phase of a round: it sends every leg's request
-// (built by mk) and flushes it, then reads every reply, so the phase
-// costs one round trip however many members it spans. Each leg ends
-// with resp or err set. A reply whose id is not its request's means the
-// connection is out of step, and is treated like a transport error: the
-// connection is dropped, so no stale reply can reach a later round and
-// every reply still owed on a live connection has been read.
-func (co *coordinator) exchange(legs []leg, mk func(l *leg) svc.Request) {
-	for i := range legs {
-		l := &legs[i]
-		co.nextID++
-		req := mk(l)
-		req.ID, l.id, l.resp = co.nextID, co.nextID, nil
-		if l.err = l.c.Send(&req); l.err == nil {
-			l.err = l.c.Flush()
-		}
-	}
-	for i := range legs {
-		l := &legs[i]
-		if l.err == nil {
-			if l.resp, l.err = l.c.Recv(); l.err == nil && l.resp.ID != l.id {
-				l.err = fmt.Errorf("reply id %d to request %d", l.resp.ID, l.id)
-			}
-		}
-		if l.err != nil {
-			co.dropConn(l.shard)
-		}
-	}
-}
-
-// failure is the client's answer for a leg that did not succeed: its
-// transport failure, or the member's own verdict.
-func (l *leg) failure(what string) *svc.Response {
-	if l.err != nil {
-		return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d %s failed: %v", l.shard, what, l.err)}
-	}
-	return &svc.Response{Status: l.resp.Status, Err: l.resp.Err}
-}
-
-// combine folds a phase's data outcomes into the client's answer: a
-// scan sums every member's value, other ops take the owner's. The first
+// combine folds a phase's data outcomes into the client's answer: a scan
+// sums every member's value, other ops take the owner's. The first
 // failed leg in member order (shed on deadline, dyneff error, lost
 // member, ...) decides a failed answer.
-func (co *coordinator) combine(legs []leg, owner int, scanAll bool, what string) *svc.Response {
+func (r *Router) combine(legs []*leg, owner int, scanAll bool) *svc.Response {
 	out := &svc.Response{Status: svc.StatusOK}
 	var sum, ownerVal int64
-	for i := range legs {
-		l := &legs[i]
+	for _, l := range legs {
 		switch {
-		case l.err == nil && l.resp.Status == svc.StatusOK:
-			co.r.perShard[l.shard].Srv.Add(1)
+		case l.resp.Status == svc.StatusOK:
+			r.perShard[l.shard].Srv.Add(1)
 			sum += l.resp.Val
 			if l.shard == owner {
 				ownerVal = l.resp.Val
 			}
 		case out.Status == svc.StatusOK:
-			out = l.failure(what)
+			out = &svc.Response{Status: l.resp.Status, Err: l.resp.Err}
 		}
 	}
 	if out.Status == svc.StatusOK {
@@ -210,58 +152,155 @@ func (co *coordinator) combine(legs []leg, owner int, scanAll bool, what string)
 	return out
 }
 
-func (co *coordinator) runTwoPhase(clientSid int, req *svc.Request, memo *routeMemo, owner int, scanAll bool) *svc.Response {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	legs, fail := co.open(clientSid, memo, memo.dec.Mask)
-	if fail != nil {
-		return fail
+// round phases.
+const (
+	phasePrepare = iota
+	phaseCommit
+	phaseAbort
+)
+
+// round is one cross-shard op in flight on the two-phase lane. The
+// session reader starts it and moves on; each leg's reply reaches it
+// through the upstream's recvLoop, and whichever goroutine delivers the
+// last reply of a phase moves the round on. client is the answer the
+// session writer owes, settled exactly once when the round ends.
+type round struct {
+	s       *rsession
+	client  *proxyEntry
+	owner   int
+	scanAll bool
+
+	mu      sync.Mutex
+	phase   int
+	legs    []*leg        // the legs the current phase waits on
+	waiting int           // legs whose reply to the current phase is owed
+	refusal *svc.Response // an aborting round's answer
+}
+
+// startRound runs the two-phase lane for one cross-shard or global op
+// without waiting for it: it takes the round order, buffers every prepare
+// on the session's own upstreams, and queues the client's answer behind
+// the round. The prepares go out with the forwards around them, at the
+// reader's next flush; every point where the reader could wait flushes
+// first, so a round holding the order never waits on its own prepares
+// for long. Later ops keep flowing; each member admits them behind the
+// round's hold.
+func (s *rsession) startRound(req *svc.Request, memo *routeMemo, owner int, scanAll bool) {
+	co := s.r.coord
+	if !co.mu.TryLock() {
+		// Another round is preparing; waiting for it must not hold back
+		// this session's buffered forwards.
+		s.flushDirty()
+		co.mu.Lock()
 	}
-	if len(legs) == 0 {
-		return &svc.Response{Status: svc.StatusRejected, Err: "cross-shard op touches no member"}
+	rd := &round{s: s, owner: owner, scanAll: scanAll,
+		client: &proxyEntry{id: req.ID, shard: -1, done: make(chan struct{})}}
+	for k := 0; k < s.r.n; k++ {
+		if memo.dec.Mask&(1<<uint(k)) == 0 {
+			continue
+		}
+		var fail *svc.Response
+		u, err := s.upstream(k)
+		if err != nil {
+			fail = &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d unavailable: %v", k, err)}
+		} else if eff, err := memo.rewrite(k, s.sid, u.c.SID); err != nil {
+			fail = &svc.Response{Status: svc.StatusRejected, Err: err.Error()}
+		} else {
+			rd.legs = append(rd.legs, &leg{shard: k, eff: eff, rd: rd, u: u})
+			continue
+		}
+		// Nothing has been sent yet.
+		co.mu.Unlock()
+		rd.finish(fail)
+		s.enqueue(rd.client)
+		return
 	}
-	// Phase 1: prepare a hold on every touched member at once. The sub op
-	// (the body a commit will run) goes to the owner — or to every member
-	// for a scan, whose pieces sum; the rest hold pure.
-	co.exchange(legs, func(l *leg) svc.Request {
+	rd.waiting = len(rd.legs)
+	for _, l := range rd.legs {
+		// The sub op (the body a commit will run) goes to the owner — or
+		// to every member for a scan, whose pieces sum; the rest hold pure.
 		sub := ""
 		if scanAll || l.shard == owner {
 			sub = req.Op
 		}
-		co.r.perShard[l.shard].Prep.Add(1)
-		return svc.Request{Op: svc.OpPrepare, Sub: sub, Key: req.Key, Val: req.Val, Eff: l.eff}
-	})
-	var refused *svc.Response
-	prepared := make([]leg, 0, len(legs))
-	for i := range legs {
-		l := &legs[i]
-		if l.err == nil && l.resp.Status == svc.StatusPrepared {
-			l.prepID = l.id
-			prepared = append(prepared, *l)
-		} else if refused == nil {
+		s.r.perShard[l.shard].Prep.Add(1)
+		s.sendLeg(l, &svc.Request{Op: svc.OpPrepare, Sub: sub, Key: req.Key, Val: req.Val, Eff: l.eff}, false)
+	}
+	s.enqueue(rd.client)
+}
+
+// reply records one leg's reply to the current phase; the last one moves
+// the round on.
+func (rd *round) reply(l *leg, resp *svc.Response) {
+	rd.mu.Lock()
+	l.resp = resp
+	rd.waiting--
+	last := rd.waiting == 0
+	phase := rd.phase
+	rd.mu.Unlock()
+	if !last {
+		return
+	}
+	switch phase {
+	case phasePrepare:
+		rd.decide()
+	case phaseCommit:
+		rd.finish(rd.s.r.combine(rd.legs, rd.owner, rd.scanAll))
+	default:
+		rd.finish(rd.refusal)
+	}
+}
+
+// decide ends the prepare phase: commit every leg if all of them hold,
+// otherwise abort the ones that do and relay the first refusal. The
+// commits or aborts are on the wire before the round order is released,
+// so no later round's prepare can overtake them on any upstream.
+func (rd *round) decide() {
+	s := rd.s
+	var prepared []*leg
+	var refusal *svc.Response
+	for _, l := range rd.legs {
+		if l.resp.Status == svc.StatusPrepared {
+			prepared = append(prepared, l)
+		} else if refusal == nil {
 			// The member refused (busy/rejected), the hold resolved before
-			// starting, or the leg was lost; relay the first such verdict
-			// after releasing the rest.
-			refused = l.failure("prepare")
+			// starting, or the leg was lost.
+			refusal = &svc.Response{Status: l.resp.Status, Err: l.resp.Err}
 		}
 	}
-	if refused != nil {
-		co.exchange(prepared, func(l *leg) svc.Request {
-			return svc.Request{Op: svc.OpAbort, Target: l.prepID}
-		})
-		return refused
+	op := svc.OpCommit
+	rd.mu.Lock()
+	if refusal != nil {
+		op, rd.phase, rd.refusal, rd.legs = svc.OpAbort, phaseAbort, refusal, prepared
+	} else {
+		rd.phase = phaseCommit
 	}
-	// Phase 2: every member holds; commit them all and combine outcomes.
-	co.exchange(legs, func(l *leg) svc.Request {
-		return svc.Request{Op: svc.OpCommit, Target: l.prepID}
-	})
-	return co.combine(legs, owner, scanAll, "commit")
+	legs := rd.legs
+	rd.waiting = len(legs)
+	rd.mu.Unlock()
+	for _, l := range legs {
+		s.sendLeg(l, &svc.Request{Op: op, Target: l.prepID}, true)
+	}
+	s.r.coord.mu.Unlock()
+	if len(legs) == 0 {
+		rd.finish(refusal) // nothing held anywhere
+	}
+}
+
+// finish settles the client's answer.
+func (rd *round) finish(resp *svc.Response) {
+	resp.ID = rd.client.id
+	rd.s.r.classify(resp.Status)
+	rd.client.resp = resp
+	close(rd.client.done)
 }
 
 // runSerial is the stop-the-world fallback lane: quiesce every forwarded
 // op (flow write-lock), then run the pieces as plain data ops on the
 // coordinator connections. Nothing else is in flight anywhere in the
-// fleet while they run, which is the whole atomicity argument.
+// fleet while they run, which is the whole atomicity argument. The
+// caller (the session reader) has already barriered its own outstanding
+// ops, so program order per client holds.
 func (co *coordinator) runSerial(clientSid int, req *svc.Request, memo *routeMemo, owner int, scanAll bool) *svc.Response {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -271,13 +310,56 @@ func (co *coordinator) runSerial(clientSid int, req *svc.Request, memo *routeMem
 	if !scanAll {
 		mask = 1 << uint(owner) // nothing to run elsewhere, and nothing to hold: the world is stopped
 	}
-	legs, fail := co.open(clientSid, memo, mask)
-	if fail != nil {
-		return fail
+	var legs []*leg
+	for k := 0; k < co.r.n; k++ {
+		if mask&(1<<uint(k)) == 0 {
+			continue
+		}
+		c, err := co.conn(k)
+		if err != nil {
+			return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d unavailable: %v", k, err)}
+		}
+		eff, err := memo.rewrite(k, clientSid, c.SID)
+		if err != nil {
+			return &svc.Response{Status: svc.StatusRejected, Err: err.Error()}
+		}
+		legs = append(legs, &leg{shard: k, c: c, eff: eff})
 	}
-	co.exchange(legs, func(l *leg) svc.Request {
+	// Send every piece, then read every reply: one round trip however
+	// many members the op spans. A reply whose id is not its request's
+	// means the connection is out of step, and is treated like a
+	// transport error: the connection is dropped, so no stale reply can
+	// reach a later op.
+	for _, l := range legs {
+		co.nextID++
+		l.id = co.nextID
 		co.r.perShard[l.shard].Fwd.Add(1)
-		return svc.Request{Op: req.Op, Key: req.Key, Val: req.Val, Eff: l.eff}
-	})
-	return co.combine(legs, owner, scanAll, "piece")
+		err := l.c.Send(&svc.Request{ID: l.id, Op: req.Op, Key: req.Key, Val: req.Val, Eff: l.eff})
+		if err == nil {
+			err = l.c.Flush()
+		}
+		if err != nil {
+			l.resp = lostReply(l.shard, err)
+		}
+	}
+	for _, l := range legs {
+		if l.resp == nil { // sent
+			resp, err := l.c.Recv()
+			if err == nil && resp.ID != l.id {
+				err = fmt.Errorf("reply id %d to request %d", resp.ID, l.id)
+			}
+			if err == nil {
+				l.resp = resp
+				continue
+			}
+			l.resp = lostReply(l.shard, err)
+		}
+		co.dropConn(l.shard)
+	}
+	return co.r.combine(legs, owner, scanAll)
+}
+
+// lostReply answers a request whose member connection failed.
+func lostReply(k int, err error) *svc.Response {
+	return &svc.Response{Status: svc.StatusError, Err: fmt.Sprintf("member %d connection lost: %v", k, err)}
 }

@@ -305,13 +305,13 @@ func (r *Router) Drain(timeout time.Duration) error {
 // the rewritten effect string per member (filled lazily as connections
 // dial). v1 keys the memo by the effect string, v2 by the connection's
 // effect ref (validated against the resolved set, since refs may be
-// re-registered). A single-member decision rewrites into the session's
-// upstream, a cross or global one into the coordinator's connection;
-// the decision is fixed, so a memo only ever serves one of the two.
-// Each rewritten string remembers the session id it was computed for:
-// a member re-dial gets a fresh sid, and sending a stale
-// Session:[oldSid] rewrite would land the op in another session's
-// namespace.
+// re-registered). Every decision rewrites into the session's own
+// upstreams, except on the serial lane, where a cross or global one
+// rewrites into the coordinator's connection; the decision is fixed, so
+// a memo only ever serves one of the two. Each rewritten string
+// remembers the session id it was computed for: a member re-dial gets a
+// fresh sid, and sending a stale Session:[oldSid] rewrite would land the
+// op in another session's namespace.
 type routeMemo struct {
 	set       effect.Set
 	dec       Decision
@@ -340,16 +340,28 @@ func (m *routeMemo) rewrite(k, clientSid, upSID int) (string, error) {
 // upConn is one session's connection to one member. dead is closed by
 // its recvLoop on exit; forwards check it after registering an entry so
 // an op can never be parked on a connection nobody is reading from.
-// dirty marks sent-but-unflushed requests (reader goroutine only).
+// wmu serializes writes: the reader's forwards and prepares, and the
+// commits or aborts a round's last replier sends from a recvLoop. dirty
+// marks sent-but-unflushed requests (reader goroutine only).
 type upConn struct {
 	c     *svc.Client
 	dead  chan struct{}
+	wmu   sync.Mutex
 	dirty bool
 }
 
+// legIDBase marks the request ids of two-phase legs. A session's leg ids
+// count up from it. A client data op with an id at or above it is
+// rejected, and a cancel with one is acknowledged without being
+// forwarded, so a leg reply can never settle a client entry or the
+// reverse.
+const legIDBase = 1 << 63
+
 // proxyEntry is one response owed to the client: either forwarded (resp
 // arrives when the upstream recv goroutine matches the id) or local
-// (resp pre-filled, done already closed).
+// (resp pre-filled, done already closed). A leg entry instead carries a
+// two-phase leg's request: its reply goes to the leg's round, and the
+// client never sees it.
 type proxyEntry struct {
 	id      uint64
 	shard   int // forwarded member; -1 for local entries
@@ -358,6 +370,7 @@ type proxyEntry struct {
 	sent    time.Time
 	resp    *svc.Response
 	done    chan struct{}
+	leg     *leg
 }
 
 type rsession struct {
@@ -380,13 +393,23 @@ type rsession struct {
 	// goroutine only); see flushDirty for when they are pushed.
 	dirty []*upConn
 
+	nextLeg uint64 // guarded by mu: the last leg id handed out, less legIDBase
+
 	memoV1 map[string]*routeMemo // bounded by cfg.EffCacheSize
 	memoV2 []*routeMemo
 }
 
+// writerQueueCap bounds a session's queue of owed responses. It also
+// bounds how many later ops a member can receive behind a round's hold
+// before the commit: writerQueueCap, plus one op sent before enqueue
+// blocks. svc's respQueueCap must hold all of them but the one its
+// writer waits on, or the member's reader never reaches the commit frame
+// (DESIGN.md §16).
+const writerQueueCap = 256
+
 func newRSession(r *Router, sid int, conn net.Conn) *rsession {
 	return &rsession{r: r, sid: sid, conn: conn,
-		q:      make(chan *proxyEntry, 256),
+		q:      make(chan *proxyEntry, writerQueueCap),
 		byID:   make(map[uint64]*proxyEntry),
 		ups:    make([]*upConn, r.n),
 		memoV1: make(map[string]*routeMemo),
@@ -491,17 +514,18 @@ func (s *rsession) handle(req *svc.Request, inBatch bool) {
 
 // handleCancel forwards a cancel to the member its target was routed to,
 // or acks landed=0 locally when the target is unknown (already resolved,
-// or a cross-lane op the coordinator owns).
+// a cross-shard op, or one of a round's legs) or the cancel's own id is
+// in the leg range.
 func (s *rsession) handleCancel(req *svc.Request) {
 	s.r.m.ControlOps.Add(1)
 	s.mu.Lock()
 	target := s.byID[req.Target]
 	var u *upConn
-	if target != nil && target.shard >= 0 {
+	if target != nil && target.shard >= 0 && target.leg == nil && req.ID < legIDBase {
 		u = s.ups[target.shard]
 	}
 	s.mu.Unlock()
-	if target == nil || target.shard < 0 || u == nil {
+	if u == nil {
 		s.local(&svc.Response{ID: req.ID, Status: svc.StatusOK, Val: 0})
 		return
 	}
@@ -525,6 +549,10 @@ func (s *rsession) handleData(req *svc.Request) {
 		reject("%v", err)
 		return
 	}
+	if req.ID >= legIDBase {
+		reject("request id %d is reserved for cross-shard legs (ids must be below %d)", req.ID, uint64(legIDBase))
+		return
+	}
 	// Key-range validation mirrors the member-side buildTask check, but
 	// must happen here too: routing (OwnerOfKey, perShard ledgers) indexes
 	// by the key's owner before any member ever sees the request.
@@ -546,14 +574,22 @@ func (s *rsession) handleData(req *svc.Request) {
 	case KindNone:
 		s.forward(OwnerOfKey(req.Key, s.r.storeShards, s.r.n), req, memo)
 	default:
-		// Cross-shard or global: barrier on this session's own
-		// outstanding ops (admission order across different upstream
-		// connections is otherwise unordered), then run the lane
-		// synchronously. Later ops are not even read until it finishes,
-		// so program order holds on both sides.
-		s.flushDirty()
-		s.wg.Wait()
-		resp := s.r.crossOp(s.sid, req, memo)
+		owner, scanAll, resp := s.r.crossPlan(req, memo)
+		switch {
+		case resp != nil:
+		case s.r.cfg.CrossLane == "2pc":
+			s.startRound(req, memo, owner, scanAll)
+			return
+		default:
+			// The serial lane runs on the coordinator's connections, which
+			// nothing orders against this session's upstreams: barrier on
+			// its outstanding ops, then run the op synchronously. Later
+			// ops are not even read until it finishes, so program order
+			// holds on both sides.
+			s.flushDirty()
+			s.wg.Wait()
+			resp = s.r.coord.runSerial(s.sid, req, memo, owner, scanAll)
+		}
 		resp.ID = req.ID
 		s.r.classify(resp.Status)
 		s.local(resp)
@@ -687,7 +723,10 @@ func (s *rsession) dispatch(u *upConn, e *proxyEntry, fwd *svc.Request, failure 
 // send buffers req on u and lists u for the next flushDirty. A failed
 // send closes the upstream, as a failed flush does.
 func (s *rsession) send(u *upConn, req *svc.Request) bool {
-	if err := u.c.Send(req); err != nil {
+	u.wmu.Lock()
+	err := u.c.Send(req)
+	u.wmu.Unlock()
+	if err != nil {
 		u.c.Close()
 		return false
 	}
@@ -702,18 +741,62 @@ func (s *rsession) send(u *upConn, req *svc.Request) bool {
 // one write per upstream however many forwards it carries. The reader
 // calls it whenever it is about to wait on something an unflushed
 // forward may be holding up: a read with no whole request buffered, the
-// flow lock, the cross-op barrier, a full writer queue, an upstream
-// dial, and its own exit (DESIGN.md §16). A failed flush closes that
-// upstream; its recvLoop then fails every entry the member owed.
+// flow lock, the serial lane's barrier, a full writer queue, an
+// upstream dial, the round order, and its own exit (DESIGN.md §16). A
+// failed flush closes that upstream; its recvLoop then fails every entry
+// the member owed.
 func (s *rsession) flushDirty() {
 	for i, u := range s.dirty {
 		u.dirty = false
-		if u.c.Flush() != nil {
+		u.wmu.Lock()
+		err := u.c.Flush()
+		u.wmu.Unlock()
+		if err != nil {
 			u.c.Close()
 		}
 		s.dirty[i] = nil
 	}
 	s.dirty = s.dirty[:0]
+}
+
+// sendLeg registers l's next request (a prepare, commit or abort) under
+// a fresh leg id and writes it on l's upstream. The reader's prepares
+// wait for its next flushDirty; now pushes the request at once, which a
+// recvLoop sending commits or aborts must do. A failed send fails the
+// leg, as dispatch fails a forward.
+func (s *rsession) sendLeg(l *leg, req *svc.Request, now bool) {
+	e := &proxyEntry{shard: l.shard, leg: l}
+	s.mu.Lock()
+	s.nextLeg++
+	e.id = legIDBase | s.nextLeg
+	s.byID[e.id] = e
+	if req.Op == svc.OpPrepare {
+		l.prepID = e.id // under mu: recvLoop's lookup orders it before the round reads it
+	}
+	s.mu.Unlock()
+	req.ID = e.id
+	var sent bool
+	if now {
+		l.u.wmu.Lock()
+		err := l.u.c.Send(req)
+		if err == nil {
+			err = l.u.c.Flush()
+		}
+		l.u.wmu.Unlock()
+		if sent = err == nil; !sent {
+			l.u.c.Close()
+		}
+	} else {
+		sent = s.send(l.u, req)
+	}
+	if sent {
+		select {
+		case <-l.u.dead:
+		default:
+			return
+		}
+	}
+	s.failEntry(e, fmt.Errorf("member %d %s send failed", l.shard, req.Op))
 }
 
 // enqueue hands e to the writer. A full queue means the writer waits on
@@ -731,10 +814,23 @@ func (s *rsession) enqueue(e *proxyEntry) {
 // failure it marks the connection dead, clears the member's slot (so
 // the next forward re-dials instead of writing into a dead socket), and
 // fails every entry still owed by that member so the writer (and the
-// barrier) never hang.
+// barrier, and every round with a leg there) never hang. A reply whose
+// id matches nothing sent means the connection is out of step, and
+// counts as a failure: no later reply on it can be trusted.
 func (s *rsession) recvLoop(k int, u *upConn) {
 	for {
 		resp, err := u.c.Recv()
+		var e *proxyEntry
+		if err == nil {
+			s.mu.Lock()
+			if e = s.byID[resp.ID]; e != nil {
+				delete(s.byID, resp.ID)
+			}
+			s.mu.Unlock()
+			if e == nil && resp.ID != 0 {
+				err = fmt.Errorf("reply id %d matches no request", resp.ID)
+			}
+		}
 		if err != nil {
 			close(u.dead) // before the sweep: dispatch checks dead after registering
 			s.mu.Lock()
@@ -751,21 +847,15 @@ func (s *rsession) recvLoop(k int, u *upConn) {
 			s.mu.Unlock()
 			u.c.Close()
 			for _, e := range orphans {
-				s.settle(e, &svc.Response{ID: e.id, Status: svc.StatusError,
-					Err: fmt.Sprintf("member %d connection lost", k)})
+				resp := lostReply(k, err)
+				resp.ID = e.id
+				s.settle(e, resp)
 			}
 			return
 		}
-		s.mu.Lock()
-		e := s.byID[resp.ID]
-		if e != nil {
-			delete(s.byID, resp.ID)
+		if e != nil { // nil: the ack of a best-effort disconnect cancel (id 0)
+			s.settle(e, resp)
 		}
-		s.mu.Unlock()
-		if e == nil {
-			continue // response to a best-effort disconnect cancel
-		}
-		s.settle(e, resp)
 	}
 }
 
@@ -774,6 +864,10 @@ func (s *rsession) recvLoop(k int, u *upConn) {
 // exactly-once contract rides on byID: only the path that removed the
 // entry's registration calls settle.
 func (s *rsession) settle(e *proxyEntry, resp *svc.Response) {
+	if e.leg != nil {
+		e.leg.rd.reply(e.leg, resp)
+		return
+	}
 	e.resp = resp
 	if e.isData {
 		s.r.classify(resp.Status)

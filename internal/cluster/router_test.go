@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,11 +100,40 @@ func awaitFleetClean(t *testing.T, r *Router) *Snapshot {
 	}
 }
 
+// loadWallBound bounds one load battery through the router. A router
+// hang then fails that one test, with every goroutine's stack, instead of
+// stalling the package until its -timeout panic hides every later
+// verdict.
+const loadWallBound = 90 * time.Second
+
 func runClusterLoad(t *testing.T, lane string, cfg svc.LoadConfig) {
 	t.Helper()
 	f := startFleet(t, 2, lane)
 	cfg.Addr = f.addr
-	rep, err := svc.RunLoad(cfg)
+	type result struct {
+		rep *svc.LoadReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := svc.RunLoad(cfg)
+		done <- result{rep, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(loadWallBound):
+		buf := make([]byte, 4<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		// Tear the fleet down so the stuck load returns and the next test
+		// starts clean.
+		f.router.Drain(time.Second)
+		for _, s := range f.shards {
+			s.Drain(time.Second)
+		}
+		t.Fatalf("load did not finish within %v (router hang?); goroutines:\n%s", loadWallBound, buf)
+	}
+	rep, err := r.rep, r.err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,9 +829,9 @@ func TestAbortConcurrentLegs(t *testing.T) {
 	f.drainClean(t)
 }
 
-// fakeMember speaks just enough of the v1 wire to pass for a member:
-// a hello with the default geometry, then a StatusPrepared reply to
-// every request, under the wrong id. A connection that carried a
+// fakeMember speaks just enough of either wire codec to pass for a
+// member: a hello with the default geometry, then a StatusPrepared reply
+// to every request, under the wrong id. A connection that carried a
 // request reports its close on closed.
 func fakeMember(t *testing.T) (addr string, closed <-chan struct{}) {
 	t.Helper()
@@ -809,6 +841,7 @@ func fakeMember(t *testing.T) (addr string, closed <-chan struct{}) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	ch := make(chan struct{}, 16) // more than one test's connections: a close never blocks
+	cache := svc.NewEffectCache(64)
 	go func() {
 		for sid := 0; ; sid++ {
 			conn, err := ln.Accept()
@@ -817,26 +850,26 @@ func fakeMember(t *testing.T) (addr string, closed <-chan struct{}) {
 			}
 			go func(sid int) {
 				defer conn.Close()
-				var pre [4]byte
-				if _, err := io.ReadFull(conn, pre[:]); err != nil {
+				sc, err := svc.NewServerConn(bufio.NewReader(conn), bufio.NewWriter(conn), cache, nil)
+				if err != nil {
 					return
 				}
 				hello := svc.Response{Status: svc.StatusHello, Val: int64(sid),
 					Stats: &svc.StatsBody{Sched: "tree", Shards: 8, Keys: 256}}
-				if svc.WriteFrame(conn, &hello) != nil {
+				if sc.WriteResponse(&hello) != nil || sc.Flush() != nil {
 					return
 				}
 				served := false
 				for {
 					var req svc.Request
-					if err := svc.ReadFrame(conn, &req); err != nil {
+					if err := sc.ReadRequest(&req); err != nil {
 						if served {
 							ch <- struct{}{}
 						}
 						return
 					}
 					served = true
-					if svc.WriteFrame(conn, &svc.Response{ID: req.ID + 1000, Status: svc.StatusPrepared}) != nil {
+					if sc.WriteResponse(&svc.Response{ID: req.ID + 1000, Status: svc.StatusPrepared}) != nil || sc.Flush() != nil {
 						return
 					}
 				}
@@ -846,10 +879,11 @@ func fakeMember(t *testing.T) (addr string, closed <-chan struct{}) {
 	return ln.Addr().String(), ch
 }
 
-// TestCoordinatorReplyIDMismatch: the coordinator pairs every reply with
-// the request it sent on that connection. A member answering under the
-// wrong id is out of step: its connection is dropped, the round answers
-// error, and the legs that did prepare are aborted.
+// TestCoordinatorReplyIDMismatch: a round's legs ride the session's own
+// upstreams, whose recvLoops pair every reply with a request sent on that
+// connection. A member answering under an id nothing was sent under is
+// out of step: its upstream is dropped, the round answers error naming
+// the reply id, and the legs that did prepare are aborted.
 func TestCoordinatorReplyIDMismatch(t *testing.T) {
 	s, err := svc.Start(svc.Config{Isolcheck: true})
 	if err != nil {
@@ -879,7 +913,7 @@ func TestCoordinatorReplyIDMismatch(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("the out-of-step coordinator connection was never dropped")
+		t.Fatal("the out-of-step upstream was never dropped")
 	}
 	if held := s.DebugSnapshot(1).HeldPrepares; held != 0 {
 		t.Errorf("member 0 still holds %d prepare(s)", held)
@@ -897,4 +931,316 @@ func TestCoordinatorReplyIDMismatch(t *testing.T) {
 	if v := s.Violations(); len(v) != 0 {
 		t.Errorf("isolation violations: %v", v)
 	}
+}
+
+// pipeline sends reqs on c from a second goroutine, so neither side's
+// socket buffers can stall the exchange, and reads every response within
+// recvAll's 5 s deadline. Responses must come back in request order.
+func pipeline(t *testing.T, c *svc.Client, reqs []svc.Request) []*svc.Response {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() {
+		for i := range reqs {
+			if err := c.Send(&reqs[i]); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- c.Flush()
+	}()
+	resps := recvAll(t, c, len(reqs))
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range resps {
+		if resp.ID != reqs[i].ID {
+			t.Fatalf("response %d answers id %d, want %d", i, resp.ID, reqs[i].ID)
+		}
+	}
+	return resps
+}
+
+// TestRoundOrder: a cross-shard round does not drain the session's
+// pipeline, so the ops around a scan reach the members while its round is
+// open; each member must still run them in program order. One pipelined
+// session repeats put(m0), put(m1), scan, put(m0), get 200 times: every
+// scan sees exactly the two puts before it and not the one after it.
+func TestRoundOrder(t *testing.T) {
+	for _, lane := range []string{"2pc", "serial"} {
+		t.Run(lane, func(t *testing.T) {
+			f := startFleet(t, 2, lane)
+			c, err := svc.DialProto(f.addr, svc.ProtoV2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const iters = 200
+			var reqs []svc.Request
+			for i := 0; i < iters; i++ {
+				base := int64(1000 * (i + 1))
+				id := uint64(5 * i)
+				reqs = append(reqs,
+					svc.Request{ID: id + 1, Op: svc.OpPut, Key: 0, Val: base + 1, Eff: svc.PutEffect(c.Shards, 0, c.SID)},
+					svc.Request{ID: id + 2, Op: svc.OpPut, Key: 1, Val: base + 2, Eff: svc.PutEffect(c.Shards, 1, c.SID)},
+					svc.Request{ID: id + 3, Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)},
+					svc.Request{ID: id + 4, Op: svc.OpPut, Key: 0, Val: base + 500, Eff: svc.PutEffect(c.Shards, 0, c.SID)},
+					svc.Request{ID: id + 5, Op: svc.OpGet, Key: 0, Eff: svc.GetEffect(c.Shards, 0, c.SID)})
+			}
+			resps := pipeline(t, c, reqs)
+			for i, resp := range resps {
+				if resp.Status != svc.StatusOK {
+					t.Fatalf("op %d (%s): status %q (%s)", i, reqs[i].Op, resp.Status, resp.Err)
+				}
+				base := int64(1000 * (i/5 + 1))
+				switch i % 5 {
+				case 2:
+					if want := 2*base + 3; resp.Val != want {
+						t.Fatalf("scan %d read %d, want %d (the puts around it ran out of order)", i/5, resp.Val, want)
+					}
+				case 4:
+					if want := base + 500; resp.Val != want {
+						t.Fatalf("get %d read %d, want %d", i/5, resp.Val, want)
+					}
+				}
+			}
+			c.Close()
+			awaitFleetClean(t, f.router)
+			f.drainClean(t)
+		})
+	}
+}
+
+// TestRoundDepth: 600 pipelined gets owned by one member, sent behind a
+// scan, all complete. Up to 257 of them reach the member while the scan's
+// hold parks them (the router writer's 256-slot queue plus one op sent
+// before enqueue blocks); the member's reader must still get to the
+// commit frame behind them, which its own 256-slot response queue allows
+// with no slot to spare.
+func TestRoundDepth(t *testing.T) {
+	f := startFleet(t, 2, "2pc")
+	c, err := svc.DialProto(f.addr, svc.ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := c.Put(0, 9); err != nil || resp.Status != svc.StatusOK {
+		t.Fatalf("put: %+v, %v", resp, err)
+	}
+	reqs := []svc.Request{{ID: 1, Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)}}
+	for i := 0; i < 600; i++ {
+		reqs = append(reqs, svc.Request{ID: uint64(i + 2), Op: svc.OpGet, Key: 0, Eff: svc.GetEffect(c.Shards, 0, c.SID)})
+	}
+	for i, resp := range pipeline(t, c, reqs) {
+		if resp.Status != svc.StatusOK || resp.Val != 9 {
+			t.Fatalf("op %d (%s): status %q val %d (%s)", i, reqs[i].Op, resp.Status, resp.Val, resp.Err)
+		}
+	}
+	c.Close()
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
+}
+
+// cutProxy relays TCP connections to target; cut closes the connection
+// relayed last, as a crash of its member would, while the others and new
+// ones keep working.
+func cutProxy(t *testing.T, target string) (addr string, cut func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			cl, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", target)
+			if err != nil {
+				cl.Close()
+				continue
+			}
+			mu.Lock()
+			conns = []net.Conn{cl, up}
+			mu.Unlock()
+			go func() { io.Copy(up, cl); up.Close() }()
+			go func() { io.Copy(cl, up); cl.Close() }()
+		}
+	}()
+	return ln.Addr().String(), func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
+// TestRoundLostMember: the scan session's connection to member 1 is lost
+// while its round waits there. The leg fails through the upstream's
+// orphan sweep, the round aborts the hold member 0 already prepared and
+// answers error, member 1 reaps its own hold, and the fleet accounts
+// cleanly afterwards.
+func TestRoundLostMember(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var shards []*svc.Server
+	for i := 0; i < 2; i++ {
+		cfg := svc.Config{ShardID: i, Isolcheck: true}
+		if i == 1 {
+			cfg.Hold = func(op string, key int) {
+				if op == svc.OpPut {
+					entered <- struct{}{}
+					<-release
+				}
+			}
+		}
+		s, err := svc.Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, s)
+	}
+	proxied, cut := cutProxy(t, shards[1].Addr())
+	r, err := New(Config{Shards: []string{shards[0].Addr(), proxied}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start(ln)
+	f := &fleet{shards: shards, router: r, addr: ln.Addr().String()}
+
+	// A put parked on member 1 keeps the scan's hold there from starting.
+	c1, err := svc.Dial(f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putDone := make(chan *svc.Response, 1)
+	go func() {
+		resp, err := c1.Put(1, 5)
+		if err != nil {
+			resp = &svc.Response{Status: svc.StatusError, Err: err.Error()}
+		}
+		putDone <- resp
+	}()
+	<-entered
+	c2, err := svc.DialProto(f.addr, svc.ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Send(&svc.Request{ID: 1, Op: svc.OpScan, Eff: svc.ScanEffect(c2.SID)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until member 0 holds its leg and member 1 has admitted its
+	// own, then lose the scan session's upstream to member 1, the last
+	// connection the proxy relayed.
+	for deadline := time.Now().Add(5 * time.Second); shards[0].DebugSnapshot(1).HeldPrepares != 1 ||
+		shards[1].Metrics().Prepares.Load() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("the scan's legs never reached both members")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cut()
+	resp := recvAll(t, c2, 1)[0]
+	if resp.Status != svc.StatusError {
+		t.Fatalf("scan with member 1 lost: status %q (%s), want error", resp.Status, resp.Err)
+	}
+	if held := shards[0].DebugSnapshot(1).HeldPrepares; held != 0 {
+		t.Errorf("member 0 still holds %d prepare(s) after the round answered", held)
+	}
+	close(release)
+	if resp := <-putDone; resp.Status != svc.StatusOK {
+		t.Errorf("parked put: status %q (%s), want ok", resp.Status, resp.Err)
+	}
+	c1.Close()
+	c2.Close()
+	awaitFleetClean(t, r)
+	f.drainClean(t)
+}
+
+// TestRoundConcurrency: two pipelined sessions run scans and conflicting
+// cross-shard puts at once. Rounds from both sessions prepare one at a
+// time and commit behind each other's holds; nothing may hang or fail,
+// and every scan reads a sum some interleaving of the puts can produce.
+func TestRoundConcurrency(t *testing.T) {
+	f := startFleet(t, 2, "2pc")
+	const per = 150
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			c, err := svc.DialProto(f.addr, svc.ProtoV2)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			cross := fmt.Sprintf("writes Root:Shard:[0], writes Root:Shard:[1], writes Root:Session:[%d]", c.SID)
+			var reqs []svc.Request
+			for i := 0; i < per; i++ {
+				id := uint64(i + 1)
+				switch i % 3 {
+				case 2:
+					reqs = append(reqs, svc.Request{ID: id, Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)})
+				default:
+					reqs = append(reqs, svc.Request{ID: id, Op: svc.OpPut, Key: i % 2, Val: int64(i % 7), Eff: cross})
+				}
+			}
+			for i, resp := range pipeline(t, c, reqs) {
+				if resp.Status != svc.StatusOK {
+					errs <- fmt.Errorf("session %d op %d (%s): status %q (%s)", w, i, reqs[i].Op, resp.Status, resp.Err)
+					return
+				}
+				if reqs[i].Op == svc.OpScan && (resp.Val < 0 || resp.Val > 12) {
+					errs <- fmt.Errorf("session %d scan %d read %d, outside [0,12]", w, i, resp.Val)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < 2; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
+}
+
+// TestRouterReservesLegIDs: request ids from 2^63 up name a round's legs
+// on the session's upstreams. A client data op using one is rejected and
+// a cancel using one is acknowledged unforwarded, so no client entry can
+// take a leg's place in the reply table.
+func TestRouterReservesLegIDs(t *testing.T) {
+	f := startFleet(t, 2, "2pc")
+	c, err := svc.DialProto(f.addr, svc.ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resps := pipeline(t, c, []svc.Request{
+		{ID: legIDBase + 1, Op: svc.OpGet, Key: 0, Eff: svc.GetEffect(c.Shards, 0, c.SID)},
+		{ID: 7, Op: svc.OpScan, Eff: svc.ScanEffect(c.SID)},
+		{ID: legIDBase + 2, Op: svc.OpCancel, Target: 7},
+		{ID: 8, Op: svc.OpGet, Key: 1, Eff: svc.GetEffect(c.Shards, 1, c.SID)},
+	})
+	if resps[0].Status != svc.StatusRejected {
+		t.Errorf("get with a leg-range id: status %q, want rejected", resps[0].Status)
+	}
+	if resps[1].Status != svc.StatusOK || resps[3].Status != svc.StatusOK {
+		t.Errorf("scan %q, get %q: want ok", resps[1].Status, resps[3].Status)
+	}
+	if resps[2].Status != svc.StatusOK || resps[2].Val != 0 {
+		t.Errorf("cancel with a leg-range id: status %q landed %d, want ok 0", resps[2].Status, resps[2].Val)
+	}
+	c.Close()
+	awaitFleetClean(t, f.router)
+	f.drainClean(t)
 }

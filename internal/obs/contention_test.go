@@ -26,9 +26,9 @@ func TestContentionGuards(t *testing.T) {
 		t.Fatalf("nil TopK = %v, want nil", top)
 	}
 	var c Contention
-	c.Observe("", 100)          // empty path ignored
-	c.Observe("Root:X", 0)      // non-positive ignored
-	c.Observe("Root:X", -5)     // non-positive ignored
+	c.Observe("", 100)      // empty path ignored
+	c.Observe("Root:X", 0)  // non-positive ignored
+	c.Observe("Root:X", -5) // non-positive ignored
 	if ns, n := c.Total(); ns != 0 || n != 0 {
 		t.Fatalf("guarded observations leaked: %d/%d", ns, n)
 	}

@@ -3,9 +3,9 @@
 // acquiring prepared holds member by member (in ascending order, or in
 // any order with ParallelLegs), commits running leg bodies
 // and releasing per member, aborts releasing everything — interleaved
-// with ordinary single-member traffic. The same BFS machinery as the
-// single-node model (explore.go), with its own state packing and
-// invariant catalog:
+// with ordinary single-member traffic, optionally issued by client
+// sessions in program order. The same BFS machinery as the single-node
+// model (explore.go), with its own state packing and invariant catalog:
 //
 //	C1 member isolation     — no two conflicting holds coexist on a member
 //	C2 all-or-nothing       — an aborted round ran no leg; a finished
@@ -14,7 +14,17 @@
 //	                          before j on one member, j before i on
 //	                          another)
 //	C4 release on terminal  — terminal ops hold nothing
+//	C5 session order        — on each member, a session's ops run in
+//	                          program order
 //	deadlock                — a non-terminal op with no enabled action
+//
+// Sessions model the router's two-phase lane, where a round's legs ride
+// the client session's own member connections: a session sends its ops
+// in program order without waiting for an open round, and each member
+// admits a session's ops in the order they arrive, so a later op queues
+// behind an earlier one's hold there (they conflict on the session's
+// region). The coordinator mutex then covers only a round's prepare
+// phase (PrepareMutex).
 //
 // The model covers the admission protocol, not crash faults: commits
 // are infallible (the implementation reports a member lost mid-commit
@@ -48,6 +58,11 @@ type ClusterOp struct {
 	// (parallel to Touch). Two ops conflict on a member when both touch
 	// it and their resources are equal or either is ResAll.
 	Res []int
+	// Session, when nonzero, names the client session issuing the op.
+	// A session's ops appear in Ops in program order; they start in that
+	// order, conflict on every member they share (the session's own
+	// region), and each member admits them in that order.
+	Session int
 }
 
 // ResAll is the whole-member resource (a scan's per-member footprint):
@@ -79,6 +94,18 @@ type ClusterMutations struct {
 	// LeakOnAbort aborts without releasing already-acquired holds.
 	// Caught by C4 and, transitively, as a deadlock.
 	LeakOnAbort bool
+	// PrepareOnForeignSession sends a session's round legs on
+	// connections other than the session's own, such as the serial
+	// lane's coordinator connections: a member then neither admits the
+	// legs in the session's order nor sees them conflict on its region,
+	// so a later op can overtake the round, or the round an earlier op.
+	// Caught by C5.
+	PrepareOnForeignSession bool
+	// CommitBeforeAllAcked lets the first prepare ack commit the round
+	// and release the coordinator mutex: every leg then runs as soon as
+	// it holds. Caught by C2 (a later refusal leaves the round
+	// half-applied) or C3 (a round admitted early crosses it).
+	CommitBeforeAllAcked bool
 }
 
 // ClusterConfig is one closed world ClusterExplore enumerates.
@@ -94,6 +121,10 @@ type ClusterConfig struct {
 	// implementation's rounds do: they send every prepare at once, so
 	// the holds land in whatever order the members admit them.
 	ParallelLegs bool
+	// PrepareMutex narrows the coordinator mutex to a round's prepare
+	// phase: it is released once every leg holds, and the next round may
+	// prepare while this one commits.
+	PrepareMutex bool
 	Mutations    ClusterMutations
 }
 
@@ -114,6 +145,9 @@ func (c *ClusterConfig) Validate() error {
 		}
 		if len(op.Res) != len(op.Touch) {
 			return fmt.Errorf("spec: op %d has %d resources for %d members", i, len(op.Res), len(op.Touch))
+		}
+		if op.Session < 0 {
+			return fmt.Errorf("spec: op %d has negative session %d", i, op.Session)
 		}
 		seen := map[int]bool{}
 		for _, m := range op.Touch {
@@ -173,6 +207,14 @@ type ccompiled struct {
 	legs     [][]int    // op → members in acquisition order
 	touch    []uint16   // op → touched-member mask
 	conflict [][]uint16 // conflict[i][j]: mask of members where i and j interfere
+	// shared[i][j]: members both ops touch when they belong to one
+	// session (0 otherwise). Their relative order there is recorded
+	// whether or not they conflict, so C5 sees every overtaking.
+	shared [][]uint16
+	// ordered[i][j]: members where j, earlier in i's session, must have
+	// resolved before i may hold (the member admits the session's ops
+	// in arrival order).
+	ordered [][]uint16
 }
 
 func compileCluster(cfg *ClusterConfig) (*ccompiled, error) {
@@ -181,7 +223,8 @@ func compileCluster(cfg *ClusterConfig) (*ccompiled, error) {
 	}
 	n := len(cfg.Ops)
 	cc := &ccompiled{cfg: cfg, n: n,
-		legs: make([][]int, n), touch: make([]uint16, n), conflict: make([][]uint16, n)}
+		legs: make([][]int, n), touch: make([]uint16, n), conflict: make([][]uint16, n),
+		shared: make([][]uint16, n), ordered: make([][]uint16, n)}
 	res := make([]map[int]int, n) // op → member → resource
 	for i, op := range cfg.Ops {
 		legs := append([]int(nil), op.Touch...)
@@ -200,6 +243,8 @@ func compileCluster(cfg *ClusterConfig) (*ccompiled, error) {
 	}
 	for i := 0; i < n; i++ {
 		cc.conflict[i] = make([]uint16, n)
+		cc.shared[i] = make([]uint16, n)
+		cc.ordered[i] = make([]uint16, n)
 		for j := 0; j < n; j++ {
 			if j == i {
 				continue
@@ -208,6 +253,18 @@ func compileCluster(cfg *ClusterConfig) (*ccompiled, error) {
 				if rj, ok := res[j][m]; ok && (ri == ResAll || rj == ResAll || ri == rj) {
 					cc.conflict[i][j] |= 1 << uint(m)
 				}
+			}
+			if si := cfg.Ops[i].Session; si == 0 || si != cfg.Ops[j].Session {
+				continue
+			}
+			both := cc.touch[i] & cc.touch[j]
+			cc.shared[i][j] = both
+			if cfg.Mutations.PrepareOnForeignSession && (len(cc.legs[i]) > 1 || len(cc.legs[j]) > 1) {
+				continue // a foreign connection: neither ordered nor conflicting
+			}
+			cc.conflict[i][j] |= both
+			if j < i {
+				cc.ordered[i][j] = both
 			}
 		}
 	}
@@ -224,6 +281,38 @@ func (cc *ccompiled) roundsSerialized() bool {
 	return !m.ConcurrentRounds && !m.UnorderedPrepare
 }
 
+// earlyCommit reports whether a round may run a leg before every leg
+// holds.
+func (cc *ccompiled) earlyCommit() bool {
+	m := cc.cfg.Mutations
+	return m.EarlyCommit || m.CommitBeforeAllAcked
+}
+
+// holdsMutex reports whether round i, in its round phase, holds the
+// coordinator mutex: for its whole run, or with PrepareMutex until every
+// leg holds (until the first does, under CommitBeforeAllAcked).
+func (cc *ccompiled) holdsMutex(s cstate, i int) bool {
+	if !cc.cfg.PrepareMutex {
+		return true
+	}
+	need := len(cc.legs[i])
+	if cc.cfg.Mutations.CommitBeforeAllAcked {
+		need = 1
+	}
+	return s.prep(i) < need
+}
+
+// inOrder reports whether every op earlier in i's session that shares a
+// member in mask with it has resolved there: ran, or aborted.
+func (cc *ccompiled) inOrder(s cstate, i int, mask uint16) bool {
+	for j := 0; j < i; j++ {
+		if o := cc.ordered[i][j] & mask; o != 0 && s.phase(j) != cAborted && s.ran(j)&o != o {
+			return false
+		}
+	}
+	return true
+}
+
 type csuccEdge struct {
 	step Step
 	next cstate
@@ -236,7 +325,7 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 
 	roundActive := false
 	for i := 0; i < cc.n; i++ {
-		if cc.multiLeg(i) && s.phase(i) == cRound {
+		if cc.multiLeg(i) && s.phase(i) == cRound && cc.holdsMutex(s, i) {
 			roundActive = true
 		}
 	}
@@ -247,6 +336,9 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 		case cUnsub:
 			if cc.multiLeg(i) && roundActive && cc.roundsSerialized() {
 				continue // coordinator mutex: one round at a time
+			}
+			if !cc.sessionStarted(s, i) {
+				continue // a session sends its ops in program order
 			}
 			ns := s
 			ns.setPhase(i, cRound)
@@ -265,7 +357,7 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 					if (s.hold(i)|s.ran(i))&bit != 0 {
 						continue // acquired already
 					}
-					free := true
+					free := cc.inOrder(s, i, bit)
 					for j := 0; j < cc.n && free; j++ {
 						if j != i && s.hold(j)&cc.conflict[i][j]&bit != 0 {
 							free = false
@@ -290,10 +382,10 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 				if s.hold(i)&bit == 0 || s.ran(i)&bit != 0 {
 					continue
 				}
-				if !commitable && !mut.EarlyCommit {
+				if !commitable && !cc.earlyCommit() {
 					continue
 				}
-				if !mut.EarlyCommit && k > 0 {
+				if !cc.earlyCommit() && k > 0 {
 					prev := uint16(1) << uint(legs[k-1])
 					if s.ran(i)&prev == 0 {
 						continue // fixed commit order keeps the space small
@@ -303,7 +395,7 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 				ns.setHold(i, s.hold(i)&^bit)
 				ns.setRan(i, s.ran(i)|bit)
 				for j := 0; j < cc.n; j++ {
-					if j != i && s.ran(j)&bit != 0 && cc.conflict[i][j]&bit != 0 {
+					if j != i && s.ran(j)&bit != 0 && (cc.conflict[i][j]|cc.shared[i][j])&bit != 0 {
 						ns.order |= orderBit(j, i)
 					}
 				}
@@ -313,7 +405,7 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 				out = append(out, csuccEdge{Step{"commit", i}, ns})
 			}
 			// Abort: hold expiry / cancellation before the commit point.
-			if cc.cfg.AllowAbort && (s.ran(i) == 0 || mut.EarlyCommit) {
+			if cc.cfg.AllowAbort && (s.ran(i) == 0 || cc.earlyCommit()) {
 				ns := s
 				ns.setPhase(i, cAborted)
 				if !mut.LeakOnAbort {
@@ -324,6 +416,18 @@ func (cc *ccompiled) successors(s cstate) []csuccEdge {
 		}
 	}
 	return out
+}
+
+// sessionStarted reports whether every op earlier in i's session has
+// started.
+func (cc *ccompiled) sessionStarted(s cstate, i int) bool {
+	sess := cc.cfg.Ops[i].Session
+	for j := 0; j < i && sess != 0; j++ {
+		if cc.cfg.Ops[j].Session == sess && s.phase(j) == cUnsub {
+			return false
+		}
+	}
+	return true
 }
 
 // checkInvariants evaluates the cluster catalog on one state.
@@ -366,6 +470,16 @@ func (cc *ccompiled) checkInvariants(s cstate) (string, string) {
 				cc.cfg.opName(i), s.hold(i))
 		}
 	}
+	// C5 — session order: no op ran on a member before an op earlier in
+	// its session did there.
+	for i := 0; i < cc.n; i++ {
+		for j := 0; j < i; j++ {
+			if cc.shared[i][j] != 0 && s.order&orderBit(i, j) != 0 {
+				return "C5-session-order", fmt.Sprintf("%s ran before %s, earlier in its session, on a member they share",
+					cc.cfg.opName(i), cc.cfg.opName(j))
+			}
+		}
+	}
 	return "", ""
 }
 
@@ -392,7 +506,7 @@ func (cc *ccompiled) describe(s cstate) string {
 }
 
 // ClusterExplore exhaustively enumerates the configuration's
-// interleavings breadth-first, checking C1..C4 at every state; a stuck
+// interleavings breadth-first, checking C1..C5 at every state; a stuck
 // non-terminal state is a deadlock. The shared Result/CounterExample
 // types keep the driver's reporting identical to the single-node model.
 func ClusterExplore(cfg *ClusterConfig, opts ExploreOpts) (*Result, error) {
@@ -471,7 +585,8 @@ func ClusterExplore(cfg *ClusterConfig, opts ExploreOpts) (*Result, error) {
 
 // ClusterPresets returns the cluster configurations CI explores: the
 // acceptance world (two cross rounds, a scan, and per-member traffic
-// with aborts) plus the single-lane corners, each once with ascending
+// with aborts), the single-lane corners and the pipelined-session
+// worlds of the session-upstream lane, each once with ascending
 // leg acquisition and once, as "<name>-parallel", with ParallelLegs —
 // the order the implementation's rounds actually acquire in.
 func ClusterPresets() []*ClusterConfig {
@@ -532,6 +647,39 @@ func ascendingPresets() []*ClusterConfig {
 				{Name: "scan", Touch: []int{0, 1}, Res: []int{ResAll, ResAll}},
 				{Name: "L0", Touch: []int{0}, Res: []int{1}},
 				{Name: "L1", Touch: []int{1}, Res: []int{1}},
+			},
+		},
+		{
+			// The router's two-phase lane as a pipelined session drives it:
+			// a put, a scan, then two more puts sent while the scan's round
+			// is open, each queueing behind the scan's hold on its member;
+			// another session's cross write races them, and any round may
+			// abort.
+			Name:         "session-scan",
+			Members:      2,
+			AllowAbort:   true,
+			PrepareMutex: true,
+			Ops: []ClusterOp{
+				{Name: "put0", Touch: []int{0}, Res: []int{1}, Session: 1},
+				{Name: "scan", Touch: []int{0, 1}, Res: []int{ResAll, ResAll}, Session: 1},
+				{Name: "put0'", Touch: []int{0}, Res: []int{1}, Session: 1},
+				{Name: "put1", Touch: []int{1}, Res: []int{2}, Session: 1},
+				{Name: "X", Touch: []int{0, 1}, Res: []int{1, 2}, Session: 2},
+			},
+		},
+		{
+			// Back-to-back rounds of one session with a put between them,
+			// against another session's conflicting round, abort-free: the
+			// prepare-only mutex plus each member's session order must
+			// leave no hold-wait cycle.
+			Name:         "session-rounds",
+			Members:      2,
+			PrepareMutex: true,
+			Ops: []ClusterOp{
+				{Name: "X1", Touch: []int{0, 1}, Res: []int{1, 1}, Session: 1},
+				{Name: "L", Touch: []int{0}, Res: []int{1}, Session: 1},
+				{Name: "X2", Touch: []int{0, 1}, Res: []int{2, 2}, Session: 1},
+				{Name: "Y", Touch: []int{0, 1}, Res: []int{1, 1}, Session: 2},
 			},
 		},
 	}

@@ -101,6 +101,16 @@ func TestClusterMutationsCaught(t *testing.T) {
 			func(m *ClusterMutations) { m.EarlyCommit = true; m.ConcurrentRounds = true }, "C3-serializability"},
 		{"leak-on-abort", "scan-vs-puts",
 			func(m *ClusterMutations) { m.LeakOnAbort = true }, "C4-release-on-terminal"},
+		{"prepare-on-foreign-session", "session-scan",
+			func(m *ClusterMutations) { m.PrepareOnForeignSession = true }, "C5-session-order"},
+		{"prepare-on-foreign-session-parallel", "session-scan-parallel",
+			func(m *ClusterMutations) { m.PrepareOnForeignSession = true }, "C5-session-order"},
+		{"prepare-on-foreign-session-rounds", "session-rounds-parallel",
+			func(m *ClusterMutations) { m.PrepareOnForeignSession = true }, "C5-session-order"},
+		{"commit-before-all-acked-aborts", "session-scan-parallel",
+			func(m *ClusterMutations) { m.CommitBeforeAllAcked = true }, "C2-all-or-nothing"},
+		{"commit-before-all-acked-crosses", "session-rounds-parallel",
+			func(m *ClusterMutations) { m.CommitBeforeAllAcked = true }, "C3-serializability"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,6 +148,63 @@ func TestClusterCounterexampleReadable(t *testing.T) {
 	}
 }
 
+// TestClusterPresetStatesPinned: the session model only adds to the
+// catalog. Every preset without sessions explores exactly the state
+// space it did before sessions existed, and the session presets are
+// there with their parallel twins.
+func TestClusterPresetStatesPinned(t *testing.T) {
+	want := map[string]int{
+		"cross-pair": 84, "scan-vs-puts": 2514, "cross-conflict": 21, "cross-full": 2454,
+		"cross-pair-parallel": 101, "scan-vs-puts-parallel": 3174,
+		"cross-conflict-parallel": 25, "cross-full-parallel": 2778,
+	}
+	sessions := 0
+	for _, cfg := range ClusterPresets() {
+		if cfg.PrepareMutex {
+			sessions++
+			continue
+		}
+		if got := clusterExplore(t, cfg).States; got != want[cfg.Name] {
+			t.Errorf("%s: %d states, want %d", cfg.Name, got, want[cfg.Name])
+		}
+	}
+	if sessions != 4 {
+		t.Errorf("%d session presets, want 4 (two, each with a parallel twin)", sessions)
+	}
+}
+
+// TestClusterSessionOpsOverlapRound: in the session presets a later op
+// really is sent while its session's round is open — the model has no
+// barrier — so C5 staying clean on them (TestClusterPresetsClean) is the
+// member's ordering at work.
+func TestClusterSessionOpsOverlapRound(t *testing.T) {
+	cfg := ClusterPreset("session-scan-parallel")
+	cc, err := compileCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scan, later = 1, 3 // put1 follows the scan in session 1
+	seen := map[cstate]bool{{}: true}
+	queue := []cstate{{}}
+	overlapped := false
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		if s.phase(scan) == cRound && s.phase(later) == cRound {
+			overlapped = true
+		}
+		for _, e := range cc.successors(s) {
+			if !seen[e.next] {
+				seen[e.next] = true
+				queue = append(queue, e.next)
+			}
+		}
+	}
+	if !overlapped {
+		t.Fatal("no state has the later op in flight while the scan's round is open: the model still barriers")
+	}
+}
+
 // TestClusterValidate rejects malformed configurations.
 func TestClusterValidate(t *testing.T) {
 	bad := []*ClusterConfig{
@@ -146,6 +213,7 @@ func TestClusterValidate(t *testing.T) {
 		{Name: "range", Members: 2, Ops: []ClusterOp{{Touch: []int{5}, Res: []int{1}}}},
 		{Name: "dup", Members: 2, Ops: []ClusterOp{{Touch: []int{0, 0}, Res: []int{1, 1}}}},
 		{Name: "arity", Members: 2, Ops: []ClusterOp{{Touch: []int{0, 1}, Res: []int{1}}}},
+		{Name: "session", Members: 2, Ops: []ClusterOp{{Touch: []int{0}, Res: []int{1}, Session: -1}}},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

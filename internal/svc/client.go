@@ -166,11 +166,23 @@ func (c *Client) Send(req *Request) error {
 	var err error
 	switch req.Op {
 	case OpCancel:
-		c.wbuf = appendCancelV2(c.wbuf[:0], req.ID, req.Target)
+		c.wbuf = appendTargetV2(c.wbuf[:0], v2FrameCancel, req.ID, req.Target)
 	case OpStats:
 		c.wbuf = appendStatsReqV2(c.wbuf[:0], req.ID)
 	case OpBatch:
 		return c.SendBatch(req.Batch)
+	case OpCommit:
+		c.wbuf = appendTargetV2(c.wbuf[:0], v2FrameCommit, req.ID, req.Target)
+	case OpAbort:
+		c.wbuf = appendTargetV2(c.wbuf[:0], v2FrameAbort, req.ID, req.Target)
+	case OpPrepare:
+		var ref uint32
+		if ref, err = c.effRef(req.Eff); err != nil {
+			return err
+		}
+		if c.wbuf, err = appendPrepareV2(c.wbuf[:0], req.ID, req.Sub, req.Key, req.Val, ref); err != nil {
+			return err
+		}
 	default:
 		var ref uint32
 		if ref, err = c.effRef(req.Eff); err != nil {
@@ -213,7 +225,7 @@ func (c *Client) SendBatch(reqs []Request) error {
 		var err error
 		switch req.Op {
 		case OpCancel:
-			buf = appendCancelV2(buf, req.ID, req.Target)
+			buf = appendTargetV2(buf, v2FrameCancel, req.ID, req.Target)
 		case OpStats:
 			buf = appendStatsReqV2(buf, req.ID)
 		case OpBatch:

@@ -42,10 +42,10 @@ func TestLatHistBucketBoundaries(t *testing.T) {
 // _sum/_count), in declaration order.
 func TestPhaseHistogramExpositionGolden(t *testing.T) {
 	var m Metrics
-	m.Phase[PhaseRecv].Observe(500)    // ≤1µs
-	m.Phase[PhaseDecode].Observe(2e4)  // ≤0.0001
-	m.Phase[PhaseWait].Observe(5e9)    // +Inf
-	m.Phase[PhaseExec].Observe(1e6)    // ≤0.001 (inclusive bound)
+	m.Phase[PhaseRecv].Observe(500)   // ≤1µs
+	m.Phase[PhaseDecode].Observe(2e4) // ≤0.0001
+	m.Phase[PhaseWait].Observe(5e9)   // +Inf
+	m.Phase[PhaseExec].Observe(1e6)   // ≤0.001 (inclusive bound)
 	// PhaseRespond deliberately unobserved: all-zero series must still render.
 
 	var buf strings.Builder

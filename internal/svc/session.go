@@ -20,6 +20,14 @@ import (
 // pipelines faster than responses resolve, the reader eventually blocks
 // on the queue and TCP backpressure does the rest; the writer always
 // drains independently, so this cannot deadlock.
+//
+// One case leans on the exact size. The cluster router sends a session's
+// later ops behind a prepared hold before it sends the commit that
+// releases them, and at most 257 of them (its writer queue,
+// cluster.writerQueueCap, plus one op sent before that queue blocks).
+// The writer here waits on the first; this queue holds the other 256
+// with no slot to spare, so the reader still reads the commit frame.
+// Shrinking either queue breaks that (DESIGN.md §16).
 const respQueueCap = 256
 
 // pending is one response owed to the client, either an already-decided
@@ -699,13 +707,18 @@ func (s *session) writer() {
 	row := int32(obs.ReqRowBase + s.id)
 	for p := range s.q {
 		resp := p.resp
+		flush := false
 		switch {
 		case p.prepE != nil:
 			e := p.prepE
 			select {
 			case <-e.started:
 				// Effects held, body parked: the coordinator may commit.
+				// The ack goes out now, not when the queue drains: the
+				// session's later ops queue behind the hold, and the
+				// coordinator commits only once it has every ack.
 				resp = &Response{ID: p.id, Status: StatusPrepared}
+				flush = true
 			case <-e.done:
 				// Resolved without ever starting (cancelled, shed, or the
 				// connection died first): the prepare answers the terminal
@@ -738,7 +751,7 @@ func (s *session) writer() {
 			// their accounting and effect release must still happen.
 			if err := s.codec.WriteResponse(resp); err != nil {
 				alive = false
-			} else if len(s.q) == 0 && s.codec.Flush() != nil {
+			} else if (flush || len(s.q) == 0) && s.codec.Flush() != nil {
 				alive = false
 			}
 		}

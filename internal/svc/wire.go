@@ -53,13 +53,13 @@ const (
 	OpStats  = "stats"  // server counters snapshot
 	OpBatch  = "batch"  // Batch carries inner requests admitted as one group
 
-	// Two-phase cross-shard admission ops (DESIGN.md §16), v1-only: the
-	// cluster coordinator lane speaks JSON to the shards it prepares on.
-	// A prepare admits a *hold* task under the declared effect whose body
-	// answers StatusPrepared the moment it starts (the effects are now
-	// held), then parks until a commit or abort targeting the prepare's
-	// id arrives; Sub names the inner data op the commit should execute
-	// (empty = pure hold). Commit/abort are inline control ops — they
+	// Two-phase cross-shard admission ops (DESIGN.md §16), in both
+	// codecs: the router's two-phase lane sends them in v2 on each client
+	// session's own member connections. A prepare admits a *hold* task
+	// under the declared effect whose body answers StatusPrepared the
+	// moment it starts (the effects are now held), then parks until a
+	// commit or abort targeting the prepare's id arrives; Sub names the
+	// inner data op the commit should execute (empty = pure hold). Commit/abort are inline control ops — they
 	// never enter the runtime, so they cannot queue behind the very hold
 	// they release — and their response carries the hold's outcome.
 	OpPrepare = "prepare"

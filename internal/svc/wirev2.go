@@ -65,6 +65,9 @@ const (
 	v2FrameStats     = 0x04 // id
 	v2FrameRegEffect = 0x05 // ref, effect string; fire-and-forget (errors are connection-fatal)
 	v2FrameConnOpts  = 0x06 // flags uvarint; fire-and-forget (unknown flags are connection-fatal)
+	v2FramePrepare   = 0x07 // id, subOp (0 = pure hold), key, val, effRef
+	v2FrameCommit    = 0x08 // id, target (the prepare's id)
+	v2FrameAbort     = 0x09 // id, target (the prepare's id)
 )
 
 // Connection-option flags carried by a v2FrameConnOpts frame. Options are
@@ -108,6 +111,7 @@ const (
 	v2StatusCancelled = 0x04
 	v2StatusRejected  = 0x05
 	v2StatusError     = 0x06
+	v2StatusPrepared  = 0x07
 )
 
 // maxWireKey bounds key/geometry varints so a decoded value always fits
@@ -157,6 +161,8 @@ func v2StatusCode(status string) (byte, bool) {
 		return v2StatusRejected, true
 	case StatusError:
 		return v2StatusError, true
+	case StatusPrepared:
+		return v2StatusPrepared, true
 	}
 	return 0, false
 }
@@ -175,6 +181,8 @@ func v2StatusString(code byte) (string, bool) {
 		return StatusRejected, true
 	case v2StatusError:
 		return StatusError, true
+	case v2StatusPrepared:
+		return StatusPrepared, true
 	}
 	return "", false
 }
@@ -308,8 +316,29 @@ func appendSubmitV2(dst []byte, id uint64, op string, key int, val int64, ref ui
 	return dst, nil
 }
 
-func appendCancelV2(dst []byte, id, target uint64) []byte {
-	dst = append(dst, v2FrameCancel)
+// appendPrepareV2 encodes one two-phase prepare frame (DESIGN.md §16):
+// sub is the inner data op a commit runs, or "" for a pure hold.
+func appendPrepareV2(dst []byte, id uint64, sub string, key int, val int64, ref uint32) ([]byte, error) {
+	var code byte
+	if sub != "" {
+		var ok bool
+		if code, ok = v2OpCode(sub); !ok {
+			return dst, fmt.Errorf("svc: prepare sub-op %q not encodable in protocol v2", sub)
+		}
+	}
+	dst = append(dst, v2FramePrepare)
+	dst = binary.AppendUvarint(dst, id)
+	dst = append(dst, code)
+	dst = binary.AppendUvarint(dst, uint64(key))
+	dst = binary.AppendVarint(dst, val)
+	dst = binary.AppendUvarint(dst, uint64(ref))
+	return dst, nil
+}
+
+// appendTargetV2 encodes a frame naming another request: a cancel of
+// target, or a commit or abort of the hold prepared under id target.
+func appendTargetV2(dst []byte, frame byte, id, target uint64) []byte {
+	dst = append(dst, frame)
 	dst = binary.AppendUvarint(dst, id)
 	dst = binary.AppendUvarint(dst, target)
 	return dst
@@ -447,26 +476,42 @@ func decodeClientFrameV2(cur *v2cur, op byte, tbl *EffectTable, req *Request, in
 			return fmt.Errorf("svc: unknown v2 data-op code 0x%02x", code)
 		}
 		req.Op = opStr
-		set, ok, perr := tbl.Lookup(ref)
-		switch {
-		case !ok:
-			req.wireErr = unknownRefError(ref)
-		case perr != nil:
-			req.wireErr = fmt.Errorf("bad effect: %v", perr)
-		default:
-			req.resolved = set
-			req.hasResolved = true
-			req.effRef = uint32(ref)
-			req.hasEffRef = true
-		}
+		resolveRef(tbl, ref, req)
 		return nil
 
-	case v2FrameCancel:
-		req.Op = OpCancel
+	case v2FramePrepare:
+		req.Op = OpPrepare
+		req.ID = cur.uvarint()
+		code := cur.u8()
+		req.Key = cur.key()
+		req.Val = cur.varint()
+		ref := cur.uvarint()
+		if cur.bad {
+			return fmt.Errorf("svc: malformed v2 prepare frame")
+		}
+		if code != 0 {
+			sub, ok := v2OpString(code)
+			if !ok {
+				return fmt.Errorf("svc: unknown v2 prepare sub-op code 0x%02x", code)
+			}
+			req.Sub = sub
+		}
+		resolveRef(tbl, ref, req)
+		return nil
+
+	case v2FrameCancel, v2FrameCommit, v2FrameAbort:
+		switch op {
+		case v2FrameCancel:
+			req.Op = OpCancel
+		case v2FrameCommit:
+			req.Op = OpCommit
+		default:
+			req.Op = OpAbort
+		}
 		req.ID = cur.uvarint()
 		req.Target = cur.uvarint()
 		if cur.bad {
-			return fmt.Errorf("svc: malformed v2 cancel frame")
+			return fmt.Errorf("svc: malformed v2 %s frame", req.Op)
 		}
 		return nil
 
@@ -507,7 +552,10 @@ func decodeClientFrameV2(cur *v2cur, op byte, tbl *EffectTable, req *Request, in
 			if cur.bad {
 				return fmt.Errorf("svc: truncated v2 batch frame")
 			}
-			if innerOp == v2FrameRegEffect || innerOp == v2FrameConnOpts {
+			switch innerOp {
+			// Registrations and options act on the connection, and a
+			// two-phase frame answers to its round, not to a batch.
+			case v2FrameRegEffect, v2FrameConnOpts, v2FramePrepare, v2FrameCommit, v2FrameAbort:
 				return fmt.Errorf("svc: frame op 0x%02x not allowed inside a v2 batch frame", innerOp)
 			}
 			if err := decodeClientFrameV2(cur, innerOp, tbl, &req.Batch[i], true, st); err != nil {
@@ -518,6 +566,24 @@ func decodeClientFrameV2(cur *v2cur, op byte, tbl *EffectTable, req *Request, in
 
 	default:
 		return fmt.Errorf("svc: unknown v2 frame op 0x%02x", op)
+	}
+}
+
+// resolveRef binds a submit or prepare frame's effect ref through the
+// connection's table: a resolved set on success, or a per-request
+// rejection (req.wireErr) for an unregistered or poisoned slot.
+func resolveRef(tbl *EffectTable, ref uint64, req *Request) {
+	set, ok, perr := tbl.Lookup(ref)
+	switch {
+	case !ok:
+		req.wireErr = unknownRefError(ref)
+	case perr != nil:
+		req.wireErr = fmt.Errorf("bad effect: %v", perr)
+	default:
+		req.resolved = set
+		req.hasResolved = true
+		req.effRef = uint32(ref)
+		req.hasEffRef = true
 	}
 }
 

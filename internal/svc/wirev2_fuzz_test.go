@@ -32,6 +32,23 @@ func fuzzTable(tb testing.TB) *EffectTable {
 	return &tbl
 }
 
+// hostileSeeds are the malformed or rejectable frames the decode fuzzer
+// starts from besides the golden frames: structural breakage, and the
+// two-phase frames' hostile shapes (an unknown sub-op, an effect ref no
+// register frame bound, a prepare smuggled into a batch).
+func hostileSeeds() [][]byte {
+	return [][]byte{
+		{},
+		{v2FrameBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},                       // huge batch count
+		{v2FrameRegEffect, 0x00, 0xFF},                                     // string length beyond payload
+		{v2FrameSubmit, 0x80},                                              // unterminated varint
+		{v2FramePrepare, 0x01, 0x09, 0x00, 0x00, 0x00},                     // unknown sub-op code
+		{v2FramePrepare, 0x01, v2OpScan, 0x00, 0x00, 0x07},                 // unregistered effect ref
+		{v2FrameBatch, 0x01, v2FramePrepare, 0x01, 0x00, 0x00, 0x00, 0x00}, // prepare inside a batch
+		{v2FrameCommit, 0x01},                                              // commit without a target
+	}
+}
+
 // FuzzDecodeFrame throws adversarial payloads at both frame decoders.
 // The properties: no panic ever; allocation stays bounded by the payload
 // (a batch cannot declare more entries than it has bytes); and any
@@ -40,10 +57,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range goldenFrames(f) {
 		f.Add(fr.payload)
 	}
-	f.Add([]byte{})
-	f.Add([]byte{v2FrameBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // huge batch count
-	f.Add([]byte{v2FrameRegEffect, 0x00, 0xFF})               // string length beyond payload
-	f.Add([]byte{v2FrameSubmit, 0x80})                        // unterminated varint
+	for _, seed := range hostileSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl := fuzzTable(t)
@@ -179,12 +195,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	for _, fr := range goldenFrames(t) {
 		decodeSeeds = append(decodeSeeds, fr.payload)
 	}
-	decodeSeeds = append(decodeSeeds,
-		[]byte{},
-		[]byte{v2FrameBatch, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
-		[]byte{v2FrameRegEffect, 0x00, 0xFF},
-		[]byte{v2FrameSubmit, 0x80},
-	)
+	decodeSeeds = append(decodeSeeds, hostileSeeds()...)
 	write("FuzzDecodeFrame", decodeSeeds)
 	write("FuzzEffectTableOps", [][]byte{
 		{},
@@ -193,4 +204,50 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		{0, 0xFF, 0xFF, 2, 0xFF, 0xFF},
 		{0, 0xFF, 0x03, 0, 0x00, 0x04},
 	})
+}
+
+// TestV2PrepareHostile: the two-phase frames' hostile shapes are refused
+// without a panic. An unknown sub-op, a prepare inside a batch and a
+// truncated commit are malformed frames, fatal to the connection like any
+// other; a prepare naming an unregistered effect ref is well formed and
+// is rejected per request, as a submit naming one is.
+func TestV2PrepareHostile(t *testing.T) {
+	tbl := fuzzTable(t)
+	seeds := hostileSeeds()
+	for _, bad := range [][]byte{seeds[4], seeds[6], seeds[7]} {
+		var req Request
+		if _, err := decodeRequestV2(bad, tbl, effect.Parse, &req); err == nil {
+			t.Errorf("% x decoded to %+v, want a frame error", bad, req)
+		}
+	}
+	var req Request
+	if _, err := decodeRequestV2(seeds[5], tbl, effect.Parse, &req); err != nil {
+		t.Fatalf("unregistered-ref prepare: frame error %v, want a per-request rejection", err)
+	}
+	if req.Op != OpPrepare || req.Sub != OpScan || req.wireErr == nil || req.hasResolved {
+		t.Fatalf("unregistered-ref prepare decoded to %+v", req)
+	}
+
+	// Live: the member answers the unregistered-ref prepare rejected and
+	// keeps serving the connection.
+	s := startTestServer(t, Config{})
+	defer drainClean(t, s)
+	c, err := DialProto(s.Addr(), ProtoV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := writeFrameV2(c.bw, seeds[5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Recv()
+	if err != nil || resp.ID != 1 || resp.Status != StatusRejected {
+		t.Fatalf("unregistered-ref prepare: %+v, %v; want rejected", resp, err)
+	}
+	if resp, err := c.Put(1, 5); err != nil || resp.Status != StatusOK {
+		t.Fatalf("put after the rejected prepare: %+v, %v", resp, err)
+	}
 }

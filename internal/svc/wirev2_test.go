@@ -60,9 +60,17 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prepareScan, err := appendPrepareV2(nil, 1<<63|1, OpScan, 0, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepareHold, err := appendPrepareV2(nil, 1<<63|2, "", 42, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	batch := appendBatchHeaderV2(nil, 3)
 	batch = append(batch, submitPut...)
-	batch = append(batch, appendCancelV2(nil, 13, 7)...)
+	batch = append(batch, appendTargetV2(nil, v2FrameCancel, 13, 7)...)
 	batch = append(batch, appendStatsReqV2(nil, 14)...)
 
 	return []goldenFrame{
@@ -73,9 +81,13 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		{"submit_get", submitGet},
 		{"submit_scan", submitScan},
 		{"submit_add", submitAdd},
-		{"cancel", appendCancelV2(nil, 11, 7)},
+		{"cancel", appendTargetV2(nil, v2FrameCancel, 11, 7)},
 		{"stats_req", appendStatsReqV2(nil, 12)},
 		{"batch", batch},
+		{"prepare_scan", prepareScan},
+		{"prepare_hold", prepareHold},
+		{"commit", appendTargetV2(nil, v2FrameCommit, 1<<63|3, 1<<63|1)},
+		{"abort", appendTargetV2(nil, v2FrameAbort, 1<<63|4, 1<<63|2)},
 		{"hello", appendHelloV2(nil, 5, 8, 256, MaxEffectRefs, "tree")},
 		{"result_ok", appendResultV2(nil, 7, v2StatusOK, 99, "")},
 		{"result_shed", appendResultV2(nil, 8, v2StatusShed, 0, "deadline")},
@@ -83,6 +95,7 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		{"result_cancelled", appendResultV2(nil, 10, v2StatusCancelled, 0, "")},
 		{"result_rejected", appendResultV2(nil, 5, v2StatusRejected, 0, "declared effect does not cover required")},
 		{"result_error", appendResultV2(nil, 11, v2StatusError, 0, "task panic")},
+		{"result_prepared", appendResultV2(nil, 1<<63|1, v2StatusPrepared, 0, "")},
 		{"stats_resp", appendStatsRespV2(nil, 12, goldenStats())},
 	}
 }
@@ -210,6 +223,20 @@ func TestV2GoldenDecode(t *testing.T) {
 		t.Fatalf("batch decoded to %+v", req)
 	}
 
+	if req := decodeReq("prepare_scan"); req.ID != 1<<63|1 || req.Op != OpPrepare || req.Sub != OpScan || !req.hasResolved {
+		t.Fatalf("prepare_scan decoded to %+v", req)
+	}
+	if req := decodeReq("prepare_hold"); req.ID != 1<<63|2 || req.Op != OpPrepare || req.Sub != "" ||
+		req.Key != 42 || req.Val != 7 || !req.hasResolved {
+		t.Fatalf("prepare_hold decoded to %+v", req)
+	}
+	if req := decodeReq("commit"); req.ID != 1<<63|3 || req.Op != OpCommit || req.Target != 1<<63|1 {
+		t.Fatalf("commit decoded to %+v", req)
+	}
+	if req := decodeReq("abort"); req.ID != 1<<63|4 || req.Op != OpAbort || req.Target != 1<<63|2 {
+		t.Fatalf("abort decoded to %+v", req)
+	}
+
 	// Register frame: applies to the table rather than producing a request.
 	var req Request
 	isReg, err := decodeRequestV2(g["reg_effect"], &tbl, effect.Parse, &req)
@@ -242,7 +269,7 @@ func TestV2GoldenDecode(t *testing.T) {
 
 	// Round trip: every server frame re-encodes byte-identically.
 	for _, name := range []string{"hello", "result_ok", "result_shed", "result_busy",
-		"result_cancelled", "result_rejected", "result_error", "stats_resp"} {
+		"result_cancelled", "result_rejected", "result_error", "result_prepared", "stats_resp"} {
 		var resp Response
 		mr, err := decodeResponseV2(g[name], &resp)
 		if err != nil {

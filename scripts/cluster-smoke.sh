@@ -4,8 +4,8 @@
 # twe-serve shard daemons on ephemeral ports:
 #
 #   1. spec — exhaustively model-check every cross-shard two-phase
-#      preset (C1..C4 + deadlock, violation-free), then prove the
-#      unordered-prepare mutation is caught with a counterexample.
+#      preset (C1..C5 + deadlock, violation-free), then prove the seeded
+#      mutations are caught with counterexamples.
 #   2. correctness — two shards + router on the 2pc cross lane, mixed
 #      v1/v2 clients with scans (cross-shard) and conflicting puts; the
 #      load generator's per-connection and exact final-state oracles
@@ -15,7 +15,10 @@
 #      high conflict ratio and frequent scans, then a fault run on the
 #      2pc lane (mid-run disconnects + cancels must release effects
 #      fleet-wide).
-#   4. scale-out bench — the same -hold latency-bound workload against
+#   4. pipelined oracle — four v2 connections, sixteen requests in
+#      flight each, a scan every sixteenth op, on both cross lanes: a
+#      round must not reorder a session's ops around it.
+#   5. scale-out bench — the same -hold latency-bound workload against
 #      one node and against the two-shard fleet at conflict 0; writes
 #      BENCH_cluster.json and asserts scaleout_ratio >= 1.7.
 #
@@ -120,21 +123,25 @@ stop_fleet() {
 	grep drained "$TMP/$tag-r.log" "$TMP/$tag-s0.log" "$TMP/$tag-s1.log"
 }
 
-echo '== cluster-smoke 1/4: two-phase spec (explore all presets + mutation) =='
+echo '== cluster-smoke 1/5: two-phase spec (explore all presets + mutations) =='
 "$SPEC" -explore -cluster
 "$SPEC" -explore -cluster -preset cross-conflict -mutate unordered-prepare -expect-violation >/dev/null
 echo "cluster-smoke: unordered-prepare mutation caught"
 "$SPEC" -explore -cluster -preset cross-conflict-parallel -mutate concurrent-rounds -expect-violation >/dev/null
 echo "cluster-smoke: parallel legs without the coordinator mutex caught"
+"$SPEC" -explore -cluster -preset session-scan-parallel -mutate prepare-on-foreign-session -expect-violation >/dev/null
+echo "cluster-smoke: prepare-on-foreign-session mutation caught"
+"$SPEC" -explore -cluster -preset session-rounds-parallel -mutate commit-before-all-acked -expect-violation >/dev/null
+echo "cluster-smoke: commit-before-all-acked mutation caught"
 
-echo '== cluster-smoke 2/4: correctness (2 shards, 2pc lane, mixed proto) =='
+echo '== cluster-smoke 2/5: correctness (2 shards, 2pc lane, mixed proto) =='
 start_fleet correctness 2pc
 "$LOAD" -addr-file "$TMP/raddr" -conns 16 -requests 40 -pipeline 4 \
 	-conflict 0.25 -scan-every 10 -seed 7 -proto mixed \
 	-cluster-url "http://$(cat "$TMP/caddr")"
 stop_fleet correctness
 
-echo '== cluster-smoke 3/4: cross-shard conflict (serial lane) + faults (2pc) =='
+echo '== cluster-smoke 3/5: cross-shard conflict (serial lane) + faults (2pc) =='
 start_fleet serial serial
 "$LOAD" -addr-file "$TMP/raddr" -conns 12 -requests 30 -pipeline 4 \
 	-conflict 0.5 -scan-every 5 -seed 9 \
@@ -146,7 +153,17 @@ start_fleet faults 2pc
 	-cluster-url "http://$(cat "$TMP/caddr")"
 stop_fleet faults
 
-echo '== cluster-smoke 4/4: scale-out bench (-hold 10ms, conflict 0, open mode) =='
+echo '== cluster-smoke 4/5: pipelined oracle (2pc and serial lanes) =='
+for lane in 2pc serial; do
+	start_fleet "pipelined-$lane" "$lane"
+	"$LOAD" -addr-file "$TMP/raddr" -conns 4 -pipeline 16 -proto v2 \
+		-requests 5000 -scan-every 16 -seed 15 \
+		-cluster-url "http://$(cat "$TMP/caddr")" | tee "$TMP/pipelined-$lane.out"
+	grep -q 'oracle clean' "$TMP/pipelined-$lane.out" || { echo "cluster-smoke: $lane pipelined oracle not clean"; exit 1; }
+	stop_fleet "pipelined-$lane"
+done
+
+echo '== cluster-smoke 5/5: scale-out bench (-hold 10ms, conflict 0, open mode) =='
 # Latency-bound on purpose: every op sleeps 10ms in the body, and each
 # connection's ops serialize on its session effect — a connection is one
 # serial lane on a single node but splits into one lane per member
