@@ -59,6 +59,11 @@ echo '== cluster stress =='
 t0=$(date +%s)
 go test -race -count=20 -timeout 600s -run 'Flush|Abort|TestRound|TestClusterLoad' ./internal/cluster/
 go test -count=3 -run Cluster ./internal/spec/
+# The member side of the same rounds: a scan sums the store inline in
+# its own task, standalone or as a committed prepared hold, so a scan
+# that saw a put out of session order or a hold that outlived its
+# commit would be a rare wrong sum or a rare hang.
+go test -race -count=20 -timeout 300s -run 'Scan|Prepare' ./internal/svc/
 echo "cluster stress: $(($(date +%s) - t0))s wall"
 
 # Differential fuzz smoke: pinned seed range so the run is reproducible and

@@ -13,7 +13,6 @@ import (
 	"twe/internal/dyneff"
 	"twe/internal/effect"
 	"twe/internal/obs"
-	"twe/internal/rpl"
 )
 
 // respQueueCap bounds the reader→writer response queue. When a client
@@ -442,12 +441,17 @@ func (s *session) handlePrepare(req *Request) {
 		Eff:  declared,
 		Body: func(ctx *core.Ctx, arg any) (any, error) {
 			close(e.started)
+			// Stopped once the gate fires: under the module's go 1.22 timer
+			// rules an unstopped timer (time.After's included) stays in the
+			// runtime heap for the whole PrepareHold after every commit.
+			timer := time.NewTimer(holdFor)
 			select {
 			case commit := <-e.gate:
+				timer.Stop()
 				if !commit {
 					return nil, core.ErrCancelled
 				}
-			case <-time.After(holdFor):
+			case <-timer.C:
 				return nil, fmt.Errorf("prepared hold expired after %v: %w", holdFor, core.ErrDeadlineExceeded)
 			}
 			if err := ctx.Err(); err != nil {
@@ -659,37 +663,11 @@ func (s *session) buildTask(req *Request) (*core.Task, effect.Set, error) {
 					return nil, err
 				}
 				t0 := time.Now()
-				partial := make([]int64, len(st.shards))
-				sfs := make([]*core.SpawnedFuture, 0, len(st.shards))
-				for k := range st.shards {
-					k := k
-					sf, err := ctx.Spawn(&core.Task{
-						Name: st.scanNames[k],
-						Eff: effect.NewSet(
-							effect.Read(shardRegion(k)),
-							effect.WriteEff(rpl.New(rpl.N("Session"), rpl.Idx(s.id), rpl.Idx(k)))),
-						Body: func(_ *core.Ctx, _ any) (any, error) {
-							var sum int64
-							for _, v := range st.shards[k] {
-								sum += v
-							}
-							partial[k] = sum
-							return nil, nil
-						},
-					}, nil)
-					if err != nil {
-						return nil, err
-					}
-					sfs = append(sfs, sf)
-				}
-				for _, sf := range sfs {
-					if _, err := ctx.Join(sf); err != nil {
-						return nil, err
-					}
-				}
 				var total int64
-				for _, p := range partial {
-					total += p
+				for _, shard := range st.shards {
+					for _, v := range shard {
+						total += v
+					}
 				}
 				s.ops++
 				m.RunLat.Observe(time.Since(t0).Nanoseconds())

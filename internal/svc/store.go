@@ -23,7 +23,7 @@ type store struct {
 
 	// Task names per shard, formatted once: they only feed trace events
 	// and the task log, which match on them byte for byte.
-	putNames, getNames, scanNames []string
+	putNames, getNames []string
 }
 
 func newStore(shards, keys int) *store {
@@ -31,12 +31,10 @@ func newStore(shards, keys int) *store {
 	st.shards = make([][]int64, shards)
 	st.putNames = make([]string, shards)
 	st.getNames = make([]string, shards)
-	st.scanNames = make([]string, shards)
 	for k := range st.shards {
 		st.shards[k] = make([]int64, st.perShard)
 		st.putNames[k] = fmt.Sprintf("put[s%d]", k)
 		st.getNames[k] = fmt.Sprintf("get[s%d]", k)
-		st.scanNames[k] = fmt.Sprintf("scanShard[%d]", k)
 	}
 	st.accum = make([]*dyneff.Ref, keys)
 	for i := range st.accum {
@@ -69,9 +67,11 @@ func addEffectSet(sid int) effect.Set {
 	return effect.NewSet(effect.WriteEff(sessionRegion(sid)))
 }
 
-// scanEffectSet: reads every shard, writes the whole per-session subtree —
-// the request's own accounting lives at Session:[sid] and each spawned
-// per-shard child gets the scratch region Session:[sid]:[k].
+// scanEffectSet: reads every shard, writes the whole per-session subtree.
+// The scan sums every shard in its own body and touches only Shard:*, but
+// the subtree stays in the required set because clients and the router
+// already declare it (it is the scan's wire effect and its prepared
+// hold's); it still excludes every put and keeps the scan in session order.
 func scanEffectSet(sid int) effect.Set {
 	return effect.NewSet(
 		effect.Read(rpl.New(rpl.N("Shard"), rpl.Any)),

@@ -47,7 +47,7 @@ const MaxFrame = 1 << 20
 const (
 	OpPut    = "put"    // write Val to Key
 	OpGet    = "get"    // read Key
-	OpScan   = "scan"   // sum the whole store (parallel: one spawned child per shard)
+	OpScan   = "scan"   // sum the whole store, inline in the scan's one task
 	OpAdd    = "add"    // fold Val into Key's accumulator (dynamic effects, commutative)
 	OpCancel = "cancel" // best-effort cancel of the in-flight request with id Target
 	OpStats  = "stats"  // server counters snapshot
