@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,35 +56,6 @@ type shardCounters struct {
 	Fwd  atomic.Int64 // data ops forwarded directly (owner lane + serial lane)
 	Prep atomic.Int64 // prepare ops issued by the coordinator
 	Srv  atomic.Int64 // served outcomes observed from this member
-}
-
-// shardLat collects per-member request latencies router-side (forward →
-// response matched) for the per-shard p99 in BENCH_cluster.json.
-type shardLat struct {
-	mu      sync.Mutex
-	samples []int64
-}
-
-const maxLatSamples = 1 << 20
-
-func (l *shardLat) observe(ns int64) {
-	l.mu.Lock()
-	if len(l.samples) < maxLatSamples {
-		l.samples = append(l.samples, ns)
-	}
-	l.mu.Unlock()
-}
-
-// Quantile returns the q-quantile of the collected samples (0 when none).
-func (l *shardLat) Quantile(q float64) int64 {
-	l.mu.Lock()
-	s := append([]int64(nil), l.samples...)
-	l.mu.Unlock()
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(q*float64(len(s)-1))]
 }
 
 // Router terminates client connections speaking both wire protocols and

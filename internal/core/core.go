@@ -131,6 +131,10 @@ type Future struct {
 	spawned     map[*Future]struct{} // spawned, not-yet-joined children
 
 	// Run-time covering effect (declared − spawned + joined), §3.1.5.
+	// Built from eff on first use (coveringLocked), so only a body that
+	// spawns, joins or asks CoveringContains pays for it; eff is set once
+	// at creation, so the lazily built base is the one an eager build at
+	// body start would have made.
 	coverMu  sync.Mutex
 	covering *compound.Compound
 
@@ -149,7 +153,17 @@ type Future struct {
 
 	result any
 	err    error
-	done   chan struct{}
+	// done holds the chan struct{} that is closed when the future
+	// finishes. It is created lazily: only a GetValue that really blocks
+	// installs one (doneChan), and a finish with no waiter installs the
+	// shared closedDone sentinel instead (signalDone). Both sides settle
+	// the race with one compare-and-swap from empty, so the channel is
+	// closed exactly once, by the finisher.
+	done atomic.Value
+
+	// ctx is the body's task-operation handle, kept inside the future so
+	// a run allocates no separate Ctx.
+	ctx Ctx
 
 	// SchedState is private storage for the active scheduler, set during
 	// Scheduler.Submit before the future is visible to other goroutines.
@@ -582,7 +596,6 @@ func (rt *Runtime) initFuture(f *Future, t *Task, arg any) {
 	f.eff = t.Eff
 	f.seq = rt.seq.Add(1)
 	f.deterministic = t.Deterministic
-	f.done = make(chan struct{})
 	if rt.tracer != nil {
 		f.submitNS.Store(rt.tracer.Clock())
 		if rt.tracer.TaskLogEnabled() {
@@ -668,11 +681,46 @@ func (f *Future) Ready() {
 	if !f.markEnabled() {
 		return
 	}
-	f.rt.pool.SubmitWorker(func(worker int) {
-		if f.started.CompareAndSwap(false, true) {
-			f.rt.runBody(f, int32(worker))
-		}
-	})
+	f.rt.pool.SubmitRunner(f)
+}
+
+// RunOn is the pool entry point (pool.Runner): an enabled future is queued
+// as itself, and the worker that dequeues it runs the body unless an inline
+// run (GetValue) or a cancellation claimed it first.
+func (f *Future) RunOn(worker int) {
+	if f.started.CompareAndSwap(false, true) {
+		f.rt.runBody(f, int32(worker))
+	}
+}
+
+// closedDone is the done-channel sentinel of a future that finished
+// before any waiter needed a channel.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// signalDone wakes blocked waiters. The finishing goroutine calls it once,
+// after the Done status store: it installs the closed sentinel, or, if a
+// waiter installed a channel first, closes that channel.
+func (f *Future) signalDone() {
+	if !f.done.CompareAndSwap(nil, closedDone) {
+		close(f.done.Load().(chan struct{}))
+	}
+}
+
+// doneChan returns a channel that is closed once f has finished, creating
+// it if no waiter or finisher has installed one yet.
+func (f *Future) doneChan() chan struct{} {
+	if v := f.done.Load(); v != nil {
+		return v.(chan struct{})
+	}
+	ch := make(chan struct{})
+	if f.done.CompareAndSwap(nil, ch) {
+		return ch
+	}
+	return f.done.Load().(chan struct{})
 }
 
 // markEnabled performs the status transition and admission tracing of
@@ -729,11 +777,9 @@ func (rt *Runtime) runBody(f *Future, worker int32) {
 		rt.tracer.Emit(obs.Event{Kind: obs.KindStart, Task: f.seq, Name: f.task.Name, Worker: worker})
 	}
 	rt.monitor.OnRun(f)
-	f.coverMu.Lock()
-	f.covering = compound.NewBase(f.eff)
-	f.coverMu.Unlock()
 
-	ctx := &Ctx{rt: rt, fut: f}
+	f.ctx = Ctx{rt: rt, fut: f}
+	ctx := &f.ctx
 	res, err := safeCall(f.task.Body, ctx, f.arg)
 	if pe, ok := err.(*PanicError); ok && rt.tracer != nil {
 		rt.tracer.Metrics().TaskPanics.Add(1)
@@ -749,7 +795,8 @@ func (rt *Runtime) runBody(f *Future, worker int32) {
 			break
 		}
 		for _, c := range children {
-			if _, jerr := ctx.Join(&SpawnedFuture{f: c}); jerr != nil && err == nil {
+			sf := SpawnedFuture{f: c}
+			if _, jerr := ctx.Join(&sf); jerr != nil && err == nil {
 				if !errors.Is(jerr, ErrAlreadyJoined) {
 					err = jerr
 				}
@@ -771,7 +818,7 @@ func (rt *Runtime) runBody(f *Future, worker int32) {
 	// overlap between a task that already returned and its successor.
 	rt.monitor.OnFinish(f)
 	f.status.Store(int32(Done))
-	close(f.done)
+	f.signalDone()
 	f.stopTimer()
 	if f.spawnParent == nil {
 		rt.sched.Done(f)
@@ -849,7 +896,8 @@ func (rt *Runtime) getValue(caller, f *Future) (any, error) {
 		return f.result, f.err
 	}
 
-	wait := func() { <-f.done }
+	ch := f.doneChan()
+	wait := func() { <-ch }
 	if caller != nil {
 		rt.pool.Block(wait)
 	} else {
@@ -944,12 +992,12 @@ func (c *Ctx) Execute(t *Task, arg any) (any, error) {
 func (c *Ctx) Spawn(t *Task, arg any) (*SpawnedFuture, error) {
 	parent := c.fut
 	parent.coverMu.Lock()
-	if !parent.covering.CoversSet(t.Eff) {
+	if cov := parent.coveringLocked(); !cov.CoversSet(t.Eff) {
 		err := &UncoveredSpawnError{
 			Parent:   parent.task.Name,
 			Child:    t.Name,
 			ChildEff: t.Eff,
-			Covering: parent.covering.String(),
+			Covering: cov.String(),
 		}
 		parent.coverMu.Unlock()
 		return nil, err
@@ -986,7 +1034,7 @@ func (c *Ctx) Join(sf *SpawnedFuture) (any, error) {
 	v, err := c.rt.getValue(c.fut, child)
 	c.fut.removeSpawned(child)
 	c.fut.coverMu.Lock()
-	c.fut.covering = c.fut.covering.Add(child.eff)
+	c.fut.covering = c.fut.coveringLocked().Add(child.eff)
 	c.fut.coverMu.Unlock()
 	if tr := c.rt.tracer; tr != nil {
 		tr.Metrics().Joins.Add(1)
@@ -1002,5 +1050,14 @@ func (c *Ctx) Join(sf *SpawnedFuture) (any, error) {
 func (c *Ctx) CoveringContains(s effect.Set) bool {
 	c.fut.coverMu.Lock()
 	defer c.fut.coverMu.Unlock()
-	return c.fut.covering.CoversSet(s)
+	return c.fut.coveringLocked().CoversSet(s)
+}
+
+// coveringLocked returns the run-time covering effect, building it from
+// the declared summary on first use. The caller holds coverMu.
+func (f *Future) coveringLocked() *compound.Compound {
+	if f.covering == nil {
+		f.covering = compound.NewBase(f.eff)
+	}
+	return f.covering
 }

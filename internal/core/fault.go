@@ -187,7 +187,7 @@ func (rt *Runtime) finishCancelled(f *Future, enabled bool) {
 	// conflicting tasks and as the signal that in-flight rechecks of this
 	// future must stand down.
 	f.status.Store(int32(Done))
-	close(f.done)
+	f.signalDone()
 	f.stopTimer()
 	if f.spawnParent == nil && f.submitted.Load() {
 		if enabled {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"twe/internal/obs"
+	"twe/internal/pool"
 )
 
 // Submission describes one task execution to submit. The zero values of
@@ -39,26 +40,52 @@ type Submission struct {
 	OnDone func(*Future)
 }
 
-// SubmitOption is a functional option mutating a Submission under
-// construction; Runtime.Submit and Ctx.Submit apply them in order.
-type SubmitOption func(*Submission)
+// SubmitOption sets one field of a Submission under construction;
+// Runtime.Submit and Ctx.Submit apply them in order. An option is a plain
+// value rather than a closure, so building and applying options allocates
+// nothing and the Submission stays on the submitter's stack.
+type SubmitOption struct {
+	field    submitField
+	arg      any
+	deadline time.Duration
+	onDone   func(*Future)
+}
+
+// submitField names the Submission field a SubmitOption sets.
+type submitField uint8
+
+const (
+	fieldArg submitField = iota + 1
+	fieldDeadline
+	fieldOnDone
+)
+
+// applyTo sets o's field of s.
+func (o SubmitOption) applyTo(s *Submission) {
+	switch o.field {
+	case fieldArg:
+		s.Arg = o.arg
+	case fieldDeadline:
+		s.Deadline = o.deadline
+	case fieldOnDone:
+		s.OnDone = o.onDone
+	}
+}
 
 // WithArg sets the argument passed to the task body.
-func WithArg(arg any) SubmitOption { return func(s *Submission) { s.Arg = arg } }
+func WithArg(arg any) SubmitOption { return SubmitOption{field: fieldArg, arg: arg} }
 
 // WithDeadline sets the per-task deadline (see Submission.Deadline).
 func WithDeadline(d time.Duration) SubmitOption {
-	return func(s *Submission) {
-		if d == 0 {
-			d = -1 // an explicit zero deadline sheds at admission
-		}
-		s.Deadline = d
+	if d == 0 {
+		d = -1 // an explicit zero deadline sheds at admission
 	}
+	return SubmitOption{field: fieldDeadline, deadline: d}
 }
 
 // WithOnDone sets the completion callback (see Submission.OnDone).
 func WithOnDone(fn func(*Future)) SubmitOption {
-	return func(s *Submission) { s.OnDone = fn }
+	return SubmitOption{field: fieldOnDone, onDone: fn}
 }
 
 // BatchScheduler is the optional scheduler interface for batched group
@@ -110,7 +137,7 @@ func (rt *Runtime) submit(sub Submission, prioritized bool) *Future {
 func (rt *Runtime) Submit(t *Task, opts ...SubmitOption) *Future {
 	sub := Submission{Task: t}
 	for _, o := range opts {
-		o(&sub)
+		o.applyTo(&sub)
 	}
 	return rt.submit(sub, false)
 }
@@ -192,28 +219,20 @@ func (c *Ctx) SubmitBatch(subs []Submission) ([]*Future, error) {
 // of one wakeup per future. Batch-aware schedulers collect the futures
 // their batched insert enabled and flush them here; semantically it is
 // Ready() on each future in order. All futures must belong to one runtime.
+// The futures are queued as themselves (pool.Runner), so the flush
+// allocates nothing: ReadyBatch compacts the enabled futures to the front
+// of fs in place, and the caller must not rely on fs's contents afterwards.
 func ReadyBatch(fs []*Future) {
-	switch len(fs) {
-	case 0:
-		return
-	case 1:
-		fs[0].Ready()
-		return
-	}
-	enabled := make([]*Future, 0, len(fs))
+	n := 0
 	for _, f := range fs {
 		if f.markEnabled() {
-			enabled = append(enabled, f)
+			fs[n] = f
+			n++
 		}
 		// else: finished (cancelled) while the batch was in flight
 	}
-	if len(enabled) == 0 {
+	if n == 0 {
 		return
 	}
-	enabled[0].rt.pool.SubmitWorkerIndexed(func(worker, i int) {
-		f := enabled[i]
-		if f.started.CompareAndSwap(false, true) {
-			f.rt.runBody(f, int32(worker))
-		}
-	}, len(enabled))
+	pool.SubmitAll(fs[0].rt.pool, fs[:n])
 }

@@ -51,7 +51,7 @@ type Pool struct {
 	work       sync.Cond // parked permanent workers wait here for a handoff
 	token      sync.Cond // Block callers wait here to re-acquire a token
 	idle       sync.Cond // Quiesce waits here for pending == 0
-	overflow   []queued  // spill list for full rings; guarded by mu
+	overflow   []Runner  // spill list for full rings; guarded by mu
 	running    int       // tasks currently executing (holding a token)
 	active     int       // worker goroutines holding a token (≤ par)
 	pending    int       // submitted but not finished (for Quiesce)
@@ -97,78 +97,63 @@ func (p *Pool) SetTracer(t *obs.Tracer) {
 	p.mu.Unlock()
 }
 
-// queued is one unit of submitted work: exactly one of f / fw / fi is
-// set. Separate fields instead of wrapping in closures keep Submit — the
-// path every DPJ-like baseline and app uses — and the batched admission
-// flush allocation-free per unit.
-type queued struct {
-	f  func()
-	fw func(worker int)
-	fi func(worker, i int) // shared across a batch; i selects the unit
-	i  int
+// Runner is one unit of submitted work. The TWE runtime's futures
+// implement it, so enabling a task queues the future itself: no closure
+// per enable or per batch. worker is the 1-based id of the pool worker
+// goroutine running the unit (permanent workers keep stable ids 1..par,
+// compensation workers get fresh higher ids); the runtime uses it to
+// attribute task run spans to worker rows in the Chrome trace.
+type Runner interface {
+	RunOn(worker int)
 }
 
-func (q queued) call(worker int) {
-	switch {
-	case q.f != nil:
-		q.f()
-	case q.fw != nil:
-		q.fw(worker)
-	default:
-		q.fi(worker, q.i)
-	}
-}
+// Func adapts a plain function to Runner. A func value is pointer-shaped,
+// so the conversion to the interface allocates nothing.
+type Func func()
+
+// RunOn calls f.
+func (f Func) RunOn(int) { f() }
 
 // Submit enqueues f for execution. It never blocks and is safe to call
 // from inside pool tasks (including while holding unrelated locks).
 func (p *Pool) Submit(f func()) {
-	p.submit(queued{f: f})
+	p.SubmitRunner(Func(f))
 }
 
-// SubmitWorker is Submit for work that wants to know which pool worker
-// goroutine runs it (1-based id; permanent workers keep stable ids 1..par,
-// compensation workers get fresh higher ids). The TWE runtime uses it to
-// attribute task run spans to worker rows in the Chrome trace.
-func (p *Pool) SubmitWorker(f func(worker int)) {
-	p.submit(queued{fw: f})
-}
-
-func (p *Pool) submit(q queued) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		panic("pool: Submit after Shutdown")
-	}
-	p.startLocked()
-	p.pending++
-	p.mu.Unlock()
-	p.push(q)
+// SubmitRunner is Submit for a Runner: the unit is queued as is.
+func (p *Pool) SubmitRunner(r Runner) {
+	p.reserve(1)
+	p.push(r)
 	p.wake(1)
 }
 
-// SubmitWorkerIndexed enqueues n units of work sharing one function —
-// unit i runs fn(worker, i) — under a single accounting pass. This is the
-// flush a batched scheduler admission uses: enabling N tasks pays one
-// wakeup pass and one closure instead of N of each. Units are spread
-// round-robin across the worker rings and up to n parked workers are
-// woken, so a batch fans out. Semantically equivalent to SubmitWorker of
-// n index-capturing closures.
-func (p *Pool) SubmitWorkerIndexed(fn func(worker, i int), n int) {
-	if n <= 0 {
+// SubmitAll enqueues every unit of rs under a single accounting pass. This
+// is the flush a batched scheduler admission uses: enabling N tasks pays
+// one wakeup pass instead of N. Units are spread round-robin across the
+// worker rings and up to len(rs) parked workers are woken, so a batch fans
+// out. Semantically equivalent to SubmitRunner of each unit in order. It is
+// generic so a caller's []*T queues without building a []Runner.
+func SubmitAll[R Runner](p *Pool, rs []R) {
+	if len(rs) == 0 {
 		return
 	}
+	p.reserve(len(rs))
+	for _, r := range rs {
+		p.push(r)
+	}
+	p.wake(len(rs))
+}
+
+// reserve counts n units about to be pushed as pending, starting the
+// workers on first use.
+func (p *Pool) reserve(n int) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		panic("pool: Submit after Shutdown")
 	}
 	p.startLocked()
 	p.pending += n
-	p.mu.Unlock()
-	for i := 0; i < n; i++ {
-		p.push(queued{fi: fn, i: i})
-	}
-	p.wake(n)
 }
 
 // startLocked lazily launches the permanent workers on first use.
@@ -186,15 +171,15 @@ func (p *Pool) startLocked() {
 	}
 }
 
-// push places q on a ring (round-robin), spilling to the overflow list
+// push places r on a ring (round-robin), spilling to the overflow list
 // when the ring is full.
-func (p *Pool) push(q queued) {
+func (p *Pool) push(r Runner) {
 	slot := int(p.rr.Add(1)) % len(p.deques)
-	if p.deques[slot].push(q) {
+	if p.deques[slot].push(r) {
 		return
 	}
 	p.mu.Lock()
-	p.overflow = append(p.overflow, q)
+	p.overflow = append(p.overflow, r)
 	p.mu.Unlock()
 }
 
@@ -251,7 +236,7 @@ func (p *Pool) queuedLocked() int {
 // findWork returns one unit of work for a worker: its own ring first (slot
 // is -1 for compensation workers, which own none), then the overflow list,
 // then a randomized steal sweep over the other rings.
-func (p *Pool) findWork(slot int, rng *uint32) (queued, bool) {
+func (p *Pool) findWork(slot int, rng *uint32) (Runner, bool) {
 	if slot >= 0 {
 		if q, ok := p.deques[slot].pop(); ok {
 			return q, true
@@ -260,7 +245,7 @@ func (p *Pool) findWork(slot int, rng *uint32) (queued, bool) {
 	p.mu.Lock()
 	if len(p.overflow) > 0 {
 		q := p.overflow[0]
-		p.overflow[0] = queued{} // the backing array must not pin the closure
+		p.overflow[0] = nil // the backing array must not pin the unit
 		p.overflow = p.overflow[1:]
 		p.mu.Unlock()
 		return q, true
@@ -282,7 +267,7 @@ func (p *Pool) findWork(slot int, rng *uint32) (queued, bool) {
 			return q, true
 		}
 	}
-	return queued{}, false
+	return nil, false
 }
 
 // workerLoop is a permanent worker: drain, steal, then sleep until new
@@ -386,7 +371,7 @@ func (p *Pool) compLoop(id int) {
 }
 
 // execute runs one unit while holding a parallelism token.
-func (p *Pool) execute(worker int, q queued) {
+func (p *Pool) execute(worker int, q Runner) {
 	p.mu.Lock()
 	p.running++
 	p.noteRunningLocked()
@@ -421,7 +406,7 @@ func (p *Pool) SetPanicHandler(h func(worker int, recovered any, stack []byte)) 
 	p.mu.Unlock()
 }
 
-func (p *Pool) runOne(worker int, f queued) {
+func (p *Pool) runOne(worker int, r Runner) {
 	defer func() {
 		// A panicking task must not kill the process or leak the token
 		// accounting (DESIGN.md §10): contain the panic, keep the worker,
@@ -445,7 +430,7 @@ func (p *Pool) runOne(worker int, f queued) {
 			fmt.Fprintf(os.Stderr, "pool: worker %d contained panic: %v\n%s", worker, r, stack)
 		}
 	}()
-	f.call(worker)
+	r.RunOn(worker)
 }
 
 // Block is called from inside a pool task to wait for an external
@@ -544,7 +529,7 @@ type ring struct {
 
 type rslot struct {
 	seq atomic.Uint64
-	val queued
+	val Runner
 }
 
 func newRing() *ring {
@@ -556,7 +541,7 @@ func newRing() *ring {
 }
 
 // push appends q; false when the ring is full.
-func (r *ring) push(q queued) bool {
+func (r *ring) push(q Runner) bool {
 	pos := r.enq.Load()
 	for {
 		s := &r.slots[pos%ringCap]
@@ -578,7 +563,7 @@ func (r *ring) push(q queued) bool {
 }
 
 // pop removes the oldest element; false when empty.
-func (r *ring) pop() (queued, bool) {
+func (r *ring) pop() (Runner, bool) {
 	pos := r.deq.Load()
 	for {
 		s := &r.slots[pos%ringCap]
@@ -587,13 +572,13 @@ func (r *ring) pop() (queued, bool) {
 		case seq == pos+1:
 			if r.deq.CompareAndSwap(pos, pos+1) {
 				q := s.val
-				s.val = queued{}
+				s.val = nil
 				s.seq.Store(pos + ringCap) // recycle for lap pos+ringCap
 				return q, true
 			}
 			pos = r.deq.Load()
 		case seq <= pos:
-			return queued{}, false // empty (or the producer mid-publish)
+			return nil, false // empty (or the producer mid-publish)
 		default:
 			pos = r.deq.Load()
 		}

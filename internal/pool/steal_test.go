@@ -68,11 +68,19 @@ func TestSingleWorkerFIFO(t *testing.T) {
 	}
 }
 
-// TestSubmitWorkerIndexedAffinity: a batch flush spreads units across the
-// worker rings and every unit reports a real worker id; with all workers
-// free and units on every ring, the batch completes without requiring the
-// whole fan-out to funnel through one queue.
-func TestSubmitWorkerIndexedAffinity(t *testing.T) {
+// workerUnit is a test Runner that records the worker it ran on.
+type workerUnit struct {
+	i  int
+	fn func(worker, i int)
+}
+
+func (u *workerUnit) RunOn(worker int) { u.fn(worker, u.i) }
+
+// TestSubmitAllAffinity: a batch flush spreads units across the worker
+// rings and every unit reports a real worker id; with all workers free and
+// units on every ring, the batch completes without requiring the whole
+// fan-out to funnel through one queue.
+func TestSubmitAllAffinity(t *testing.T) {
 	const par = 4
 	p := New(par)
 	const n = 256
@@ -80,7 +88,7 @@ func TestSubmitWorkerIndexedAffinity(t *testing.T) {
 	var workers sync.Map
 	var wg sync.WaitGroup
 	wg.Add(n)
-	p.SubmitWorkerIndexed(func(worker, i int) {
+	fn := func(worker, i int) {
 		defer wg.Done()
 		seen[i].Add(1)
 		if worker <= 0 {
@@ -88,7 +96,12 @@ func TestSubmitWorkerIndexedAffinity(t *testing.T) {
 		}
 		workers.Store(worker, true)
 		time.Sleep(200 * time.Microsecond) // let every worker engage
-	}, n)
+	}
+	units := make([]*workerUnit, n)
+	for i := range units {
+		units[i] = &workerUnit{i: i, fn: fn}
+	}
+	SubmitAll(p, units)
 	wg.Wait()
 	p.Quiesce()
 	for i := range seen {

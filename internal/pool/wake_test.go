@@ -68,7 +68,7 @@ func TestBatchFansOut(t *testing.T) {
 	p, _ := newTracedPool(t, par)
 	var cur, peak atomic.Int64
 	deadline := time.Now().Add(5 * time.Second)
-	p.SubmitWorkerIndexed(func(_, _ int) {
+	fn := func(_, _ int) {
 		c := cur.Add(1)
 		for {
 			m := peak.Load()
@@ -80,7 +80,12 @@ func TestBatchFansOut(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 		cur.Add(-1)
-	}, 2*par)
+	}
+	units := make([]*workerUnit, 2*par)
+	for i := range units {
+		units[i] = &workerUnit{i: i, fn: fn}
+	}
+	SubmitAll(p, units)
 	p.Quiesce()
 	if peak.Load() < 2 {
 		t.Fatalf("batch of %d units on %d idle workers never ran two at once", 2*par, par)

@@ -188,8 +188,12 @@ func (s *session) main() {
 func (s *session) reader() {
 	defer close(s.q)
 	defer s.reapPrepares()
+	// One Request serves the whole connection: ReadRequest takes it through
+	// an interface, so a per-iteration variable would be a heap object per
+	// request. No handler keeps a pointer to it past handle.
+	var req Request
 	for {
-		var req Request
+		req = Request{}
 		if err := s.codec.ReadRequest(&req); err != nil {
 			var ne net.Error
 			if s.srv.draining.Load() && errors.As(err, &ne) && ne.Timeout() {

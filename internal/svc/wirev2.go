@@ -192,9 +192,9 @@ func writeFrameV2(w *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("svc: frame too large (%d > %d)", len(payload), MaxFrame)
 	}
-	var hdr [binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
+	// The length prefix is encoded straight into the writer's free
+	// buffer: a local array handed to Write would escape to the heap.
+	if _, err := w.Write(binary.AppendUvarint(w.AvailableBuffer(), uint64(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)

@@ -58,22 +58,34 @@ const (
 // (the Effect record of Fig. 5.3).
 type effInst struct {
 	write bool
-	r     rpl.RPL
-	fut   *core.Future
-
-	// node is the tree node currently containing the effect; read lock-free
-	// by lockContainingNode, written under the containing node's lock.
-	node atomic.Pointer[node]
 	// enabled and waiters are guarded by the containing node's lock.
 	// waiters are the effects to recheck when this one leaves the tree; an
 	// effect may appear more than once, which costs one redundant recheck.
+	// The first waiter lands in waiter0 (addWaiter), so a waiting chain —
+	// one successor per effect — registers without allocating.
 	enabled bool
+	r       rpl.RPL
+	fut     *core.Future
+
+	// node is the tree node currently containing the effect; read lock-free
+	// by lockContainingNode, written under the containing node's lock.
+	node    atomic.Pointer[node]
 	waiters []*effInst
+	waiter0 [1]*effInst
 	// setIdx is the index of the per-node set holding the effect, and
 	// prev/next link it into that set's list; guarded by the containing
 	// node's lock.
 	setIdx     int
 	prev, next *effInst
+}
+
+// addWaiter registers w for a recheck when e leaves the tree. Caller holds
+// the lock of e's containing node (or owns e while it is unplaced).
+func (e *effInst) addWaiter(w *effInst) {
+	if e.waiters == nil {
+		e.waiters = e.waiter0[:0]
+	}
+	e.waiters = append(e.waiters, w)
 }
 
 // effList is one of a node's six effect sets: an intrusive doubly-linked
@@ -533,19 +545,50 @@ var (
 	_ core.Quiescer       = (*Scheduler)(nil)
 )
 
-// newState builds and registers the scheduler's per-future record. The
-// effect instances share one slab.
+// futState1 and futState2 are the exact-size records of a future with one
+// or two effects: the state, its effect instances and the pointer view
+// over them in one allocation. Sizing to the effect count matters: a
+// fixed two-slot array in every futState would make each one-effect task
+// carry a dead effInst. The effs view points into the same object, so
+// effInst pointers are as stable as with separate slabs.
+type futState1 struct {
+	futState
+	refs  [1]*effInst
+	insts [1]effInst
+}
+
+type futState2 struct {
+	futState
+	refs  [2]*effInst
+	insts [2]effInst
+}
+
+// newState builds and registers the scheduler's per-future record: one
+// allocation for up to two effects, three (state, instances, pointer view)
+// above that.
 func newState(f *core.Future) *futState {
-	st := &futState{}
 	eff := f.Effects()
-	if n := eff.Len(); n > 0 {
-		insts := make([]effInst, n)
-		st.effs = make([]*effInst, n)
-		for j := range insts {
-			e := eff.At(j)
-			insts[j] = effInst{write: e.Write, r: e.Region, fut: f}
-			st.effs[j] = &insts[j]
-		}
+	var st *futState
+	var insts []effInst
+	switch n := eff.Len(); n {
+	case 0:
+		st = &futState{}
+	case 1:
+		x := new(futState1)
+		st, insts = &x.futState, x.insts[:]
+		st.effs = x.refs[:]
+	case 2:
+		x := new(futState2)
+		st, insts = &x.futState, x.insts[:]
+		st.effs = x.refs[:]
+	default:
+		st = &futState{effs: make([]*effInst, n)}
+		insts = make([]effInst, n)
+	}
+	for j := range insts {
+		e := eff.At(j)
+		insts[j] = effInst{write: e.Write, r: e.Region, fut: f}
+		st.effs[j] = &insts[j]
 	}
 	st.disabled.Store(int64(len(st.effs)))
 	f.SchedState = st
@@ -989,7 +1032,7 @@ func (s *Scheduler) insertRoutes(routes []routedEff, depth int, prio bool, ready
 func (s *Scheduler) waitOnPending(e *effInst, pending []*effInst) bool {
 	for _, ep := range pending {
 		if s.conflicts(ep, e) {
-			ep.waiters = append(ep.waiters, e)
+			ep.addWaiter(e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1025,7 +1068,7 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 	}
 	if !prio {
 		if ep := s.youngestElder(n, e); ep != nil {
-			ep.waiters = append(ep.waiters, e)
+			ep.addWaiter(e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1052,10 +1095,10 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 				continue
 			}
 			if prio && s.tryDisable(ep, n) {
-				e.waiters = append(e.waiters, ep)
+				e.addWaiter(ep)
 				continue
 			}
-			ep.waiters = append(ep.waiters, e)
+			ep.addWaiter(e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1135,19 +1178,19 @@ func (s *Scheduler) checkChild(child *node, e *effInst, ne *node, prio bool) boo
 				continue
 			}
 			if !ep.enabled && !prio && ep.fut.Seq() < e.fut.Seq() {
-				ep.waiters = append(ep.waiters, e)
+				ep.addWaiter(e)
 				s.traceStall(e, ep)
 				return true
 			}
 			if !ep.enabled || (prio && s.tryDisable(ep, child)) {
 				// Move the (now) disabled conflicting effect up to ne and
 				// remember it as a waiter of e.
-				e.waiters = append(e.waiters, ep)
+				e.addWaiter(ep)
 				child.remove(ep)
 				ne.add(ep)
 				continue
 			}
-			ep.waiters = append(ep.waiters, e)
+			ep.addWaiter(e)
 			s.traceStall(e, ep)
 			return true
 		}
