@@ -33,21 +33,19 @@ go test -race ./internal/...
 # Pool wait/wake stress (DESIGN.md §17): a lost wake-up in the pool's
 # park/handoff protocol would be a rare hang; fifty race-built
 # repetitions under a bounded timeout make it a fast failure instead.
+# The wake and steal batteries queue the one-field entries (a future as
+# itself, a batch as a slice of futures), so they ride the same line.
 echo '== pool stress =='
 go test -race -count=50 -timeout 300s ./internal/pool/
-# The same park/handoff and steal paths carry the pool's one-field
-# entries: a future queues as itself and a batch flush queues a slice of
-# futures, so the wake and steal batteries run twenty more race-built
-# repetitions on their own.
-go test -race -count=20 -timeout 300s -run 'TestSubmitWakesOneWorker|TestBatchFansOut|TestBlockHandsTokenToParkedSibling|TestQuiesceShutdownUnderChainedLoad|TestStealPathDrainsStuckRing|TestSingleWorkerFIFO|TestSubmitAllAffinity|TestShutdownDrainsNonEmptyDeques|TestRingOverflowSpill|TestStealsUnderContention' ./internal/pool/
 
 # Task lifecycle stress (DESIGN.md §3): a future's done channel exists
 # only once a waiter really blocks and is closed only if it exists, and
 # the covering effect is built on a body's first spawn, join or
 # CoveringContains. A waiter and a finisher that both miss the channel
-# would be a rare hang, and two closes a rare panic; thirty race-built
-# repetitions of the core suite, the lazy-path battery included, make
-# either a fast failure.
+# would be a rare hang, two closes a rare panic, and a cancel that loses
+# the start claim but still skips the body a rare wrong outcome; thirty
+# race-built repetitions of the core suite, the lazy-path battery
+# included, make each a fast failure.
 echo '== core stress =='
 go test -race -count=30 -timeout 600s ./internal/core/
 

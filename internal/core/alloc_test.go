@@ -49,8 +49,8 @@ func quiesce(rt *core.Runtime, futs []*core.Future) {
 // scratch of its descent (route and group lists, one set per tree level
 // the insert passes) — nothing per enable, run or finish. Disjoint tasks
 // (writes R:[i], a two-level descent) are all admitted at once;
-// conflicting ones (writes R) wait as a chain, each registered behind its
-// predecessor without allocating.
+// conflicting ones (writes R) wait as a chain, each registered in its
+// predecessor's waiter list.
 func TestExecuteLaterAllocBudget(t *testing.T) {
 	bothScheds(t, 2, func(t *testing.T, rt *core.Runtime) {
 		for _, conflicting := range []bool{false, true} {
@@ -58,7 +58,7 @@ func TestExecuteLaterAllocBudget(t *testing.T) {
 			if strings.HasSuffix(t.Name(), "/tree") {
 				budget = 7 // Future, state, and the scratch of two levels
 				if conflicting {
-					budget = 4 // Future, state, and the scratch of one level
+					budget = 5 // Future, state, the scratch of one level, and the predecessor's waiter list
 				}
 			}
 			tasks := budgetTasks(conflicting)

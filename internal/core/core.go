@@ -764,14 +764,9 @@ func (f *Future) markEnabled() bool {
 func (rt *Runtime) runBody(f *Future, worker int32) {
 	rt.yieldAt(f, PointStart)
 	f.worker.Store(worker)
-	if f.CancelCause() != nil {
-		// Cancelled after being enabled but before the body started (the
-		// pool claim won the race against Cancel's): skip the body and
-		// finish as cancelled. The task was admitted, so its effects are
-		// released through the normal Done notification.
-		rt.finishCancelled(f, true)
-		return
-	}
+	// No cancellation check here: a Cancel that lost the started claim
+	// has returned false, so the body runs and sees the cause through
+	// Ctx.Err (fault.go).
 	if rt.tracer != nil {
 		f.startNS.Store(rt.tracer.Clock())
 		rt.tracer.Emit(obs.Event{Kind: obs.KindStart, Task: f.seq, Name: f.task.Name, Worker: worker})

@@ -103,12 +103,14 @@ func TestErrorTypes(t *testing.T) {
 	rt := newRT(t)
 	defer rt.Shutdown()
 
-	// Self-wait.
-	var self *core.Future
+	// Self-wait. The body may start before ExecuteLater returns, so it
+	// receives its own future over a channel.
+	selfc := make(chan *core.Future, 1)
 	selfTask := core.NewTask("self", es("pure"), func(ctx *core.Ctx, _ any) (any, error) {
-		return ctx.GetValue(self)
+		return ctx.GetValue(<-selfc)
 	})
-	self = rt.ExecuteLater(selfTask, nil)
+	self := rt.ExecuteLater(selfTask, nil)
+	selfc <- self
 	if _, err := rt.GetValue(self); !errors.Is(err, core.ErrSelfWait) {
 		t.Fatalf("self wait: %v", err)
 	}

@@ -105,10 +105,11 @@ func (rt *Runtime) Quiesced() bool {
 //
 // If the body has not started, the future finishes immediately with the
 // cause, its effects are released (descheduling it if it was still
-// waiting), and Cancel returns true. If the body is already running,
-// cancellation is cooperative — the body observes the cause through
-// Ctx.Err and Cancel returns false; the future's outcome is whatever the
-// body returns. Cancelling a finished future is a no-op returning false.
+// waiting), and Cancel returns true. If a pool worker or an inline run
+// has already claimed the body, cancellation is cooperative — the body
+// runs, observes the cause through Ctx.Err and Cancel returns false; the
+// future's outcome is whatever the body returns. Cancelling a finished
+// future is a no-op returning false.
 //
 // Cancel is safe from any goroutine once the future has been returned by
 // ExecuteLater/Execute/Spawn; calling it earlier (e.g. from a yield hook
@@ -123,11 +124,11 @@ func (f *Future) Cancel(cause error) bool {
 	f.cancelCause.CompareAndSwap(nil, &cause)
 	if f.started.CompareAndSwap(false, true) {
 		// The body will never run: this goroutine owns the finish.
-		f.rt.finishCancelled(f, false)
+		f.rt.finishCancelled(f)
 		return true
 	}
 	// Already claimed by a pool worker or inline run: cooperative. The
-	// body (or the pre-body check in runBody) observes the cause.
+	// body runs and observes the cause through Ctx.Err.
 	if tr := f.rt.tracer; tr != nil && !f.IsDone() {
 		tr.Emit(obs.Event{Kind: obs.KindCancel, Task: f.seq, Name: f.task.Name, Detail: "requested"})
 	}
@@ -163,23 +164,17 @@ func (c *Ctx) Err() error {
 	return c.fut.CancelCause()
 }
 
-// finishCancelled completes a future whose body never ran (or was skipped
-// at the last instant) with its cancellation cause, and releases its
-// effects. enabled says whether the scheduler had admitted the task: an
-// enabled future releases through the normal Done notification, the rest
-// through Deschedule, which handles never-enabled bookkeeping. The caller
+// finishCancelled completes a future whose body never ran with its
+// cancellation cause, and releases its effects through Deschedule, which
+// handles both waiting and enabled-but-unclaimed bookkeeping. The caller
 // must own the started claim.
-func (rt *Runtime) finishCancelled(f *Future, enabled bool) {
+func (rt *Runtime) finishCancelled(f *Future) {
 	cause := f.CancelCause()
 	f.result, f.err = nil, cause
 	rt.yieldAt(f, PointCancel)
 	if tr := rt.tracer; tr != nil {
 		tr.Metrics().TasksCancelled.Add(1)
-		detail := "descheduled"
-		if enabled {
-			detail = "before-start"
-		}
-		tr.Emit(obs.Event{Kind: obs.KindCancel, Task: f.seq, Name: f.task.Name, Detail: detail})
+		tr.Emit(obs.Event{Kind: obs.KindCancel, Task: f.seq, Name: f.task.Name, Detail: "descheduled"})
 	}
 	// The monitor never saw this future run, so OnRun/OnFinish are both
 	// skipped. The Done store must still precede the scheduler
@@ -190,11 +185,7 @@ func (rt *Runtime) finishCancelled(f *Future, enabled bool) {
 	f.signalDone()
 	f.stopTimer()
 	if f.spawnParent == nil && f.submitted.Load() {
-		if enabled {
-			rt.sched.Done(f)
-		} else {
-			rt.deschedule(f)
-		}
+		rt.deschedule(f)
 	}
 	if f.onDone != nil {
 		f.onDone(f)

@@ -24,8 +24,9 @@ const DefaultInternerCap = 4096
 
 // instanceIDs hands out the per-process interner-instance tags packed
 // into the top rpl.InternIDInstanceBits of every id. Instance 0 is
-// reserved (id 0 means "not interned"), and the tag space is deliberately
-// small: a process creates a handful of runtimes, not hundreds.
+// reserved (id 0 means "not interned"). Tags are never reused, since an
+// RPL stamped by a dead interner may still be compared; a process that
+// builds more than 2^16-1 runtimes gets inert interners from then on.
 var instanceIDs atomic.Uint32
 
 // Interner assigns stable small-integer ids to fully specified RPLs.

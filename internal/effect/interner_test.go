@@ -93,6 +93,20 @@ func TestInternerCapacityBound(t *testing.T) {
 	}
 }
 
+// TestManyInternersStayLive: every runtime owns an interner, and a test
+// binary run with -count builds hundreds of runtimes, so the instance-tag
+// space must outlast that. With 8-bit tags the 256th interner was inert
+// and everything after it silently lost the interned fast path.
+func TestManyInternersStayLive(t *testing.T) {
+	var in *Interner
+	for i := 0; i < 1000; i++ {
+		in = NewInterner(0)
+	}
+	if in.Intern(rpl.MustParse("X:[0]")).InternID() == 0 || in.Resident() != 1 {
+		t.Fatalf("interner %d is inert (resident %d)", instanceIDs.Load(), in.Resident())
+	}
+}
+
 func TestInternSet(t *testing.T) {
 	in := NewInterner(0)
 	s := MustParse("reads A, writes B:[2], writes C:*")

@@ -92,7 +92,7 @@ func TestScenarioEmitsFaultTelemetry(t *testing.T) {
 	if got := m.TaskPanics.Load(); got != uint64(out.Panicked) {
 		t.Errorf("TaskPanics = %d, want %d", got, out.Panicked)
 	}
-	// TasksCancelled counts before-start finishes: each is a future that
+	// TasksCancelled counts descheduled finishes: each is a future that
 	// classifies as Cancelled or DeadlineExceeded (cooperative winddowns
 	// are not counted), so it is bounded by the two classes together.
 	if got := m.TasksCancelled.Load(); got == 0 || got > uint64(out.Cancelled+out.DeadlineExceeded) {

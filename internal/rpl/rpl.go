@@ -135,8 +135,12 @@ type RPL struct {
 // and a slot number in the low bits, so ids from different interners are
 // never confused for each other.
 const (
-	// InternIDInstanceBits is the width of the instance tag.
-	InternIDInstanceBits = 8
+	// InternIDInstanceBits is the width of the instance tag. Every
+	// runtime owns an interner, so a process that builds many runtimes
+	// (a test binary run with -count, a long-lived host) needs room for
+	// thousands of tags; 16 bits leave 65535 slots per interner, far
+	// above effect.DefaultInternerCap.
+	InternIDInstanceBits = 16
 	// InternIDSlotBits is the width of the slot number.
 	InternIDSlotBits = 32 - InternIDInstanceBits
 )

@@ -429,20 +429,6 @@ func (r *refiner) step(ev *obs.Event) {
 				return
 			}
 			r.terminal(ev.Task)
-		case "before-start":
-			switch t.phase {
-			case renabled:
-			case rsubmitted:
-				// runBody's pre-body cancel check can win the same Enable
-				// emission race as an inline Start; the task was admitted.
-				r.admit(t, ev)
-			default:
-				r.fail("R5-lifecycle", ev.TS, ev.Task, 0, fmt.Sprintf("before-start cancel of a %s task", t.phase))
-				if t.phase == rterminal {
-					return
-				}
-			}
-			r.terminal(ev.Task)
 		default:
 			// "requested": an advisory cooperative-cancel mark; the task
 			// still exits through Finish. May legally race past Finish.

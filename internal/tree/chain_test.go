@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -151,5 +152,48 @@ func TestYoungPlacedFirstCycleResolves(t *testing.T) {
 	}
 	if !s.Quiesced() {
 		t.Fatalf("not quiesced: pending=%d effects=%d", s.Pending(), s.PendingEffects())
+	}
+}
+
+// TestFinishedFutureDoesNotRetainSuccessor: a finished future keeps its
+// scheduler state (SchedState), so nothing in that state may still point
+// at the task that queued behind it. Otherwise holding one old future
+// keeps every later task of its wait chain reachable. A future sits in a
+// cycle with its own state, where a finalizer never runs, so the probe is
+// the successor's argument, reachable only through the successor.
+func TestFinishedFutureDoesNotRetainSuccessor(t *testing.T) {
+	type probe struct{ _ *int }
+	for _, tc := range []struct {
+		name string
+		mk   func() *Scheduler
+	}{{"locked", New}, {"lockfree", NewLockFree}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := core.NewRuntime(tc.mk(), 1)
+			gate := make(chan struct{})
+			head := rt.ExecuteLater(core.NewTask("head", effect.MustParse("writes X"),
+				func(*core.Ctx, any) (any, error) { <-gate; return nil, nil }), nil)
+			collected := make(chan struct{})
+			func() {
+				arg := &probe{}
+				runtime.SetFinalizer(arg, func(*probe) { close(collected) })
+				succ := rt.ExecuteLater(core.NewTask("succ", effect.MustParse("writes X"),
+					func(*core.Ctx, any) (any, error) { return nil, nil }), arg)
+				if succ.Status() >= core.Enabled {
+					t.Error("successor admitted while the head holds X")
+				}
+			}()
+			close(gate)
+			rt.Shutdown()
+			for i := 0; i < 20; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					runtime.KeepAlive(head)
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Fatal("the finished head future keeps its successor reachable")
+		})
 	}
 }

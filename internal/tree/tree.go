@@ -58,34 +58,22 @@ const (
 // (the Effect record of Fig. 5.3).
 type effInst struct {
 	write bool
-	// enabled and waiters are guarded by the containing node's lock.
-	// waiters are the effects to recheck when this one leaves the tree; an
-	// effect may appear more than once, which costs one redundant recheck.
-	// The first waiter lands in waiter0 (addWaiter), so a waiting chain —
-	// one successor per effect — registers without allocating.
-	enabled bool
-	r       rpl.RPL
-	fut     *core.Future
+	r     rpl.RPL
+	fut   *core.Future
 
 	// node is the tree node currently containing the effect; read lock-free
 	// by lockContainingNode, written under the containing node's lock.
-	node    atomic.Pointer[node]
+	node atomic.Pointer[node]
+	// enabled and waiters are guarded by the containing node's lock.
+	// waiters are the effects to recheck when this one leaves the tree; an
+	// effect may appear more than once, which costs one redundant recheck.
+	enabled bool
 	waiters []*effInst
-	waiter0 [1]*effInst
 	// setIdx is the index of the per-node set holding the effect, and
 	// prev/next link it into that set's list; guarded by the containing
 	// node's lock.
 	setIdx     int
 	prev, next *effInst
-}
-
-// addWaiter registers w for a recheck when e leaves the tree. Caller holds
-// the lock of e's containing node (or owns e while it is unplaced).
-func (e *effInst) addWaiter(w *effInst) {
-	if e.waiters == nil {
-		e.waiters = e.waiter0[:0]
-	}
-	e.waiters = append(e.waiters, w)
 }
 
 // effList is one of a node's six effect sets: an intrusive doubly-linked
@@ -1032,7 +1020,7 @@ func (s *Scheduler) insertRoutes(routes []routedEff, depth int, prio bool, ready
 func (s *Scheduler) waitOnPending(e *effInst, pending []*effInst) bool {
 	for _, ep := range pending {
 		if s.conflicts(ep, e) {
-			ep.addWaiter(e)
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1068,7 +1056,7 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 	}
 	if !prio {
 		if ep := s.youngestElder(n, e); ep != nil {
-			ep.addWaiter(e)
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1095,10 +1083,10 @@ func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 				continue
 			}
 			if prio && s.tryDisable(ep, n) {
-				e.addWaiter(ep)
+				e.waiters = append(e.waiters, ep)
 				continue
 			}
-			ep.addWaiter(e)
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
@@ -1178,19 +1166,19 @@ func (s *Scheduler) checkChild(child *node, e *effInst, ne *node, prio bool) boo
 				continue
 			}
 			if !ep.enabled && !prio && ep.fut.Seq() < e.fut.Seq() {
-				ep.addWaiter(e)
+				ep.waiters = append(ep.waiters, e)
 				s.traceStall(e, ep)
 				return true
 			}
 			if !ep.enabled || (prio && s.tryDisable(ep, child)) {
 				// Move the (now) disabled conflicting effect up to ne and
 				// remember it as a waiter of e.
-				e.addWaiter(ep)
+				e.waiters = append(e.waiters, ep)
 				child.remove(ep)
 				ne.add(ep)
 				continue
 			}
-			ep.addWaiter(e)
+			ep.waiters = append(ep.waiters, e)
 			s.traceStall(e, ep)
 			return true
 		}
