@@ -95,8 +95,8 @@ func TestInternerCapacityBound(t *testing.T) {
 
 // TestManyInternersStayLive: every runtime owns an interner, and a test
 // binary run with -count builds hundreds of runtimes, so the instance-tag
-// space must outlast that. With 8-bit tags the 256th interner was inert
-// and everything after it silently lost the interned fast path.
+// space must outlast that: an interner past the last tag is inert, and
+// the runtime owning it silently loses the interned fast path.
 func TestManyInternersStayLive(t *testing.T) {
 	var in *Interner
 	for i := 0; i < 1000; i++ {
