@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz faults obs-smoke serve serve-smoke batch-smoke proto-smoke prof-smoke spec-smoke cluster-smoke lockfree-smoke proto-fuzz check
+.PHONY: build test race vet fuzz faults obs-smoke serve serve-smoke batch-smoke proto-smoke prof-smoke spec-smoke cluster-smoke proto-fuzz check
 
 build:
 	$(GO) build ./...
@@ -29,18 +29,21 @@ faults:
 
 # Observability smoke (see DESIGN.md §7): run two workloads under the
 # tracer + isolation oracle, then structurally validate the emitted
-# Chrome trace and Prometheus dump; obs/core tests run under -race.
+# Chrome trace and Prometheus dump; obs/core tests run under -race. The
+# outputs go to a private directory removed on exit.
 obs-smoke:
 	$(GO) test -race ./internal/obs/ ./internal/core/
-	$(GO) build -o /tmp/twe-trace-smoke ./cmd/twe-trace
-	/tmp/twe-trace-smoke -app kmeans -sched tree -par 4 -isolcheck \
-		-trace /tmp/twe-smoke-kmeans.json -metrics /tmp/twe-smoke-kmeans.prom
-	/tmp/twe-trace-smoke -app server -sched naive -par 4 -isolcheck \
-		-trace /tmp/twe-smoke-server.json -metrics /tmp/twe-smoke-server.prom
-	/tmp/twe-trace-smoke -check /tmp/twe-smoke-kmeans.json
-	/tmp/twe-trace-smoke -check /tmp/twe-smoke-server.json
-	/tmp/twe-trace-smoke -checkmetrics /tmp/twe-smoke-kmeans.prom
-	/tmp/twe-trace-smoke -checkmetrics /tmp/twe-smoke-server.prom
+	set -e; d=$$(mktemp -d "$${TMPDIR:-/tmp}/twe-obs-smoke.XXXXXX"); \
+	trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/twe-trace" ./cmd/twe-trace; \
+	"$$d/twe-trace" -app kmeans -sched tree -par 4 -isolcheck \
+		-trace "$$d/kmeans.json" -metrics "$$d/kmeans.prom"; \
+	"$$d/twe-trace" -app server -sched naive -par 4 -isolcheck \
+		-trace "$$d/server.json" -metrics "$$d/server.prom"; \
+	"$$d/twe-trace" -check "$$d/kmeans.json"; \
+	"$$d/twe-trace" -check "$$d/server.json"; \
+	"$$d/twe-trace" -checkmetrics "$$d/kmeans.prom"; \
+	"$$d/twe-trace" -checkmetrics "$$d/server.prom"
 
 # Run the twe-serve daemon in the foreground on a fixed port (see
 # DESIGN.md §11); drive it from another shell, e.g.
@@ -98,14 +101,6 @@ spec-smoke:
 cluster-smoke:
 	$(GO) test -race ./internal/cluster/ ./internal/spec/
 	./scripts/cluster-smoke.sh
-
-# Lock-free admission gate (see DESIGN.md §17): the fast-path stress
-# batteries under -race, exhaustive exploration of the epoch-snapshot
-# admission model (plus protocol-break catching), race-built three-way
-# differential fuzz across the fast/slow boundary, and the >= 1.2x
-# BenchmarkSubmitBatch perf gate.
-lockfree-smoke:
-	./scripts/lockfree-smoke.sh
 
 # Open-ended coverage-guided fuzzing of the v2 frame decoders (the
 # pinned corpus replays in ordinary test runs; this explores beyond it).

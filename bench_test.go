@@ -35,9 +35,8 @@ func mkSched(name string) func() core.Scheduler {
 }
 
 var (
-	mkNaive    = mkSched("naive")
-	mkTree     = mkSched("tree")
-	mkLockFree = mkSched("tree-lockfree")
+	mkNaive = mkSched("naive")
+	mkTree  = mkSched("tree")
 )
 
 func par() int { return runtime.GOMAXPROCS(0) }
@@ -339,7 +338,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		mk   func() core.Scheduler
-	}{{"SingleQueue", mkNaive}, {"Tree", mkTree}, {"TreeLockFree", mkLockFree}} {
+	}{{"SingleQueue", mkNaive}, {"Tree", mkTree}} {
 		b.Run(tc.name+"/Disjoint", func(b *testing.B) {
 			rt := core.NewRuntime(tc.mk(), par())
 			defer rt.Shutdown()
@@ -380,11 +379,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // tasks to the pool — because that is what batching amortizes; each
 // iteration still drains the group (untimed) so queue depth stays
 // bounded. submits/s is the acceptance metric recorded in
-// BENCH_batch.json: Tree/Batch must clear ≥1.5× Tree/PerTask, and the
-// §17 lock-free fast path (TreeLockFree/PerTask vs Tree/PerTask) must
-// clear ≥1.2× — the effects here are fully specified and disjoint, so
-// every admission should take the epoch-validated fast path
-// (scripts/lockfree-smoke.sh gates on this pair).
+// BENCH_batch.json: Tree/Batch must clear ≥1.5× Tree/PerTask.
 func BenchmarkSubmitBatch(b *testing.B) {
 	const batch = 64
 	// Disjoint regions under a shared namespace prefix (the shape a
@@ -412,7 +407,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		mk   func() core.Scheduler
-	}{{"SingleQueue", mkNaive}, {"Tree", mkTree}, {"TreeLockFree", mkLockFree}} {
+	}{{"SingleQueue", mkNaive}, {"Tree", mkTree}} {
 		b.Run(tc.name+"/PerTask", func(b *testing.B) {
 			rt := core.NewRuntime(tc.mk(), par())
 			defer rt.Shutdown()
@@ -450,7 +445,6 @@ func BenchmarkRootRWAblation(b *testing.B) {
 	}{
 		{"RootRW", mkTree},
 		{"RootMutex", mkSched("tree-rootmutex")},
-		{"LockFree", mkLockFree},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			rt := core.NewRuntime(tc.mk(), par())

@@ -3,6 +3,13 @@
 # differential fuzz smoke. Run via `make check` or directly.
 set -eu
 
+# Every file this run writes lives under one private directory, removed on
+# exit, so two runs on one host (two checkouts compared side by side)
+# never share a path.
+CI_TMP=$(mktemp -d "${TMPDIR:-/tmp}/twe-ci.XXXXXX")
+trap 'rm -rf "$CI_TMP"' EXIT
+trap 'exit 130' INT TERM
+
 echo '== go vet =='
 go vet ./...
 
@@ -54,10 +61,12 @@ go test -race -count=30 -timeout 600s ./internal/core/
 # behind their youngest conflicting elder, so a lost net run or a broken
 # wait chain would be a rare hang or a rare out-of-order admission. Thirty
 # race-built repetitions of the liveness, ordering, chain, conformance and
-# safety-net tests make either a fast failure instead.
+# safety-net tests make either a fast failure instead. The conformance
+# suite's admission-order cases also run without the root RW fast path.
 echo '== tree stress =='
 t0=$(date +%s)
-go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestConformanceOrder|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths|TestConformanceLockFree' ./internal/tree/
+go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths' ./internal/tree/
+go test -race -count=30 -timeout 300s -run '^TestConformanceNoRootRW$/tree-noRW/^Order' ./internal/tree/
 echo "tree stress: $(($(date +%s) - t0))s wall"
 
 # Cluster relay stress (DESIGN.md §16): the router flushes forwards once
@@ -103,19 +112,19 @@ go run ./cmd/twe-fuzz -batch -seed 0 -n 120 -schedules 1 -timeout 20s
 # isolation oracle and validate the Chrome trace / Prometheus outputs
 # with twe-trace's built-in structural checkers — no external tools.
 echo '== obs smoke =='
-go build -o /tmp/twe-trace-ci ./cmd/twe-trace
-/tmp/twe-trace-ci -app kmeans -sched tree -par 4 -isolcheck \
-	-trace /tmp/twe-ci-kmeans.json -metrics /tmp/twe-ci-kmeans.prom
-/tmp/twe-trace-ci -app server -sched naive -par 4 -isolcheck \
-	-trace /tmp/twe-ci-server.json -metrics /tmp/twe-ci-server.prom
-/tmp/twe-trace-ci -faults \
-	-trace /tmp/twe-ci-faults.json -metrics /tmp/twe-ci-faults.prom
-/tmp/twe-trace-ci -check /tmp/twe-ci-kmeans.json
-/tmp/twe-trace-ci -check /tmp/twe-ci-server.json
-/tmp/twe-trace-ci -check /tmp/twe-ci-faults.json
-/tmp/twe-trace-ci -checkmetrics /tmp/twe-ci-kmeans.prom
-/tmp/twe-trace-ci -checkmetrics /tmp/twe-ci-server.prom
-/tmp/twe-trace-ci -checkmetrics /tmp/twe-ci-faults.prom
+go build -o "$CI_TMP/twe-trace" ./cmd/twe-trace
+"$CI_TMP/twe-trace" -app kmeans -sched tree -par 4 -isolcheck \
+	-trace "$CI_TMP/kmeans.json" -metrics "$CI_TMP/kmeans.prom"
+"$CI_TMP/twe-trace" -app server -sched naive -par 4 -isolcheck \
+	-trace "$CI_TMP/server.json" -metrics "$CI_TMP/server.prom"
+"$CI_TMP/twe-trace" -faults \
+	-trace "$CI_TMP/faults.json" -metrics "$CI_TMP/faults.prom"
+"$CI_TMP/twe-trace" -check "$CI_TMP/kmeans.json"
+"$CI_TMP/twe-trace" -check "$CI_TMP/server.json"
+"$CI_TMP/twe-trace" -check "$CI_TMP/faults.json"
+"$CI_TMP/twe-trace" -checkmetrics "$CI_TMP/kmeans.prom"
+"$CI_TMP/twe-trace" -checkmetrics "$CI_TMP/server.prom"
+"$CI_TMP/twe-trace" -checkmetrics "$CI_TMP/faults.prom"
 
 # Service-layer smoke (DESIGN.md §11): three twe-serve daemons on
 # ephemeral ports driven by the closed-loop load generator — correctness
@@ -123,7 +132,7 @@ go build -o /tmp/twe-trace-ci ./cmd/twe-trace
 # with -expect-shed, and fault-mode effect release. Each phase asserts a
 # clean SIGTERM drain audit.
 echo '== serve smoke =='
-BENCH_OUT=/tmp/BENCH_serve.json ./scripts/serve-smoke.sh
+BENCH_OUT="$CI_TMP/BENCH_serve.json" ./scripts/serve-smoke.sh
 
 # Batched-admission wire smoke (DESIGN.md §12): twe-serve daemons driven
 # by twe-load -batch 4 so every data op arrives inside a batch frame and
@@ -137,7 +146,7 @@ echo '== batch smoke =='
 # replay), live negotiation with pure-v2 and mixed v1/v2 clients, and
 # the same-seed v1-vs-v2 bench pair (writes BENCH_serve_v2.json).
 echo '== proto smoke =='
-BENCH_V2_OUT=/tmp/BENCH_serve_v2.json ./scripts/proto-smoke.sh
+BENCH_V2_OUT="$CI_TMP/BENCH_serve_v2.json" ./scripts/proto-smoke.sh
 
 # Request-tracing smoke (DESIGN.md §14): the tracing/attribution battery
 # under -race (contention tree, span goldens, options-frame negotiation,
@@ -146,7 +155,7 @@ BENCH_V2_OUT=/tmp/BENCH_serve_v2.json ./scripts/proto-smoke.sh
 # probes, Chrome-trace req-span validation, and the same-seed
 # tracing-off-vs-on overhead pair (writes BENCH_prof.json).
 echo '== prof smoke =='
-BENCH_PROF_OUT=/tmp/BENCH_prof.json ./scripts/prof-smoke.sh
+BENCH_PROF_OUT="$CI_TMP/BENCH_prof.json" ./scripts/prof-smoke.sh
 
 # Executable admission-spec smoke (DESIGN.md §15): exhaustively
 # model-check every preset configuration, prove the seeded mutations
@@ -162,20 +171,12 @@ echo '== spec smoke =='
 # SIGTERM drain audits fleet-wide), and the single-vs-two-shard
 # scale-out bench pair (writes BENCH_cluster.json, ratio gated >= 1.7).
 echo '== cluster smoke =='
-BENCH_CLUSTER_OUT=/tmp/BENCH_cluster.json ./scripts/cluster-smoke.sh
-
-# Lock-free admission smoke (DESIGN.md §17): fast-path stress batteries
-# under -race, exhaustive epoch-snapshot model exploration with every
-# seeded protocol break caught, race-built naive/tree/tree-lockfree
-# differential fuzz over the fast/slow boundary, and the >= 1.2x
-# fast-path submission perf gate.
-echo '== lockfree smoke =='
-./scripts/lockfree-smoke.sh
+BENCH_CLUSTER_OUT="$CI_TMP/BENCH_cluster.json" ./scripts/cluster-smoke.sh
 
 # Perf snapshots of the in-process workloads via the -apps filter:
 # BENCH_server.json plus BENCH_batch.json (batched vs per-task
 # submission throughput; schemas in EXPERIMENTS.md).
 echo '== twe-bench -json (server,batch) =='
-go run ./cmd/twe-bench -json /tmp/twe-ci-bench -apps server,batch -threads 1,4 -reps 2
+go run ./cmd/twe-bench -json "$CI_TMP/bench" -apps server,batch -threads 1,4 -reps 2
 
 echo 'ci: OK'

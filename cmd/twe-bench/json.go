@@ -44,9 +44,8 @@ type benchRun struct {
 	BatchSubmits  uint64 `json:"batch_submits,omitempty"`
 	BatchTasks    uint64 `json:"batch_tasks,omitempty"`
 	BatchDescents uint64 `json:"batch_descents,omitempty"`
-	// Lock-free admission split and pool steal count (DESIGN.md §17),
-	// per run; fast/slow admits are zero except under tree-lockfree.
-	FastAdmits uint64 `json:"fast_admits,omitempty"`
+	// Effectful submissions that entered the tree's locked descent (zero
+	// under naive) and the pool steal count (DESIGN.md §17), per run.
 	SlowAdmits uint64 `json:"slow_admits,omitempty"`
 	PoolSteals uint64 `json:"pool_steals,omitempty"`
 }
@@ -64,10 +63,6 @@ type submitBench struct {
 	PerTaskSubmitsSec float64 `json:"per_task_submits_per_sec"`
 	BatchSubmitsSec   float64 `json:"batch_submits_per_sec"`
 	Speedup           float64 `json:"speedup"` // batch / per-task
-	// FastpathRate is fast / (fast + slow) admissions over the whole
-	// measurement (DESIGN.md §17) — 0 for locked schedulers, and ≈1 for
-	// tree-lockfree on this conflict-free fully-specified shape.
-	FastpathRate float64 `json:"fastpath_rate,omitempty"`
 }
 
 // benchFile is the BENCH_<workload>.json document.
@@ -115,7 +110,7 @@ func runJSON(dir string, threads []int, reps int, apps string) error {
 		for _, sched := range []struct {
 			name string
 			mk   func() core.Scheduler
-		}{{"tree", mkTree}, {"naive", mkNaive}, {"tree-lockfree", mkLockFree}} {
+		}{{"tree", mkTree}, {"naive", mkNaive}} {
 			for _, par := range threads {
 				r, err := measureJSON(w, sched.name, sched.mk, par, reps)
 				if err != nil {
@@ -179,7 +174,6 @@ func measureJSON(w workloads.Workload, schedName string, mk func() core.Schedule
 		BatchSubmits:    s.BatchSubmits / n,
 		BatchTasks:      s.BatchTasks / n,
 		BatchDescents:   s.BatchDescents / n,
-		FastAdmits:      s.AdmitFastpath / n,
 		SlowAdmits:      s.AdmitSlowpath / n,
 		PoolSteals:      s.PoolSteals / n,
 	}
@@ -195,8 +189,7 @@ func measureJSON(w workloads.Workload, schedName string, mk func() core.Schedule
 // BenchmarkSubmitBatch in bench_test.go.
 func measureSubmitBench(schedName string, mk func() core.Scheduler, par int) (submitBench, error) {
 	const batch, rounds, warmup = 64, 300, 30
-	tr := obs.New(obs.WithCapacity(64))
-	rt := core.NewRuntime(mk(), par, core.WithTracer(tr))
+	rt := core.NewRuntime(mk(), par)
 	defer rt.Shutdown()
 	tasks := make([]*core.Task, batch)
 	subs := make([]core.Submission, batch)
@@ -239,10 +232,6 @@ func measureSubmitBench(schedName string, mk func() core.Scheduler, par int) (su
 	}
 	if sb.PerTaskSubmitsSec > 0 {
 		sb.Speedup = sb.BatchSubmitsSec / sb.PerTaskSubmitsSec
-	}
-	ms := tr.Metrics().Snapshot()
-	if total := ms.AdmitFastpath + ms.AdmitSlowpath; total > 0 {
-		sb.FastpathRate = float64(ms.AdmitFastpath) / float64(total)
 	}
 	return sb, nil
 }

@@ -63,9 +63,8 @@ func mkSched(name string) func() core.Scheduler {
 }
 
 var (
-	mkNaive    = mkSched("naive")
-	mkTree     = mkSched("tree")
-	mkLockFree = mkSched("tree-lockfree")
+	mkNaive = mkSched("naive")
+	mkTree  = mkSched("tree")
 )
 
 type sizes struct {
@@ -414,7 +413,6 @@ func figAblation(sz sizes, threads []int, reps int) []*bench.Figure {
 		}{
 			{"RootRW", mkTree},
 			{"RootMutex", mkSched("tree-rootmutex")},
-			{"LockFree", mkLockFree},
 		} {
 			tc := tc
 			fig.Series = append(fig.Series, bench.Measure(tc.name, threads, reps, func(par int) error {
@@ -454,8 +452,6 @@ func figAblation(sz sizes, threads []int, reps int) []*bench.Figure {
 			{"Queue-C", mkNaive, true},
 			{"Tree-D", mkTree, false},
 			{"Tree-C", mkTree, true},
-			{"LockFree-D", mkLockFree, false},
-			{"LockFree-C", mkLockFree, true},
 		} {
 			tc := tc
 			fig.Series = append(fig.Series, bench.Measure(tc.name, threads, reps, func(par int) error {

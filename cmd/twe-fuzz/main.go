@@ -27,7 +27,7 @@
 // Usage:
 //
 //	twe-fuzz [-seed N] [-n COUNT] [-schedules K] [-par P] [-timeout D]
-//	         [-schedule M] [-sched naive|tree|tree-lockfree] [-faults] [-batch] [-refine]
+//	         [-schedule M] [-sched naive|tree] [-faults] [-batch] [-refine]
 //	         [-shrink] [-budget B] [-dump] [-v]
 //
 // Fuzzing a range:       twe-fuzz -seed 0 -n 1000

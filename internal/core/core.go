@@ -377,7 +377,7 @@ type Scheduler interface {
 	// on, the tree's liveness net) may overtake, and so may a task whose
 	// submission overlaps an older one's. The naive scheduler keeps the
 	// contract with its FIFO queue and the tree scheduler with its elder
-	// rule; tree-lockfree's zero-lock fast path is excepted.
+	// rule.
 	Submit(f *Future)
 	// NotifyBlocked is called after caller (possibly nil for an external
 	// waiter) has recorded target as its blocker. The scheduler prioritizes

@@ -50,10 +50,13 @@ type Metrics struct {
 	PoolParks      atomic.Uint64 // permanent pool workers parking for lack of work
 	PoolWakeups    atomic.Uint64 // parked pool workers woken to run new work
 
-	// Lock-free admission counters (DESIGN.md §17): effectful submissions
-	// admitted by the zero-lock epoch-snapshot walk vs the locked descent.
-	AdmitFastpath atomic.Uint64 // lock-free fast-path admissions
-	AdmitSlowpath atomic.Uint64 // locked (slow-path) admissions
+	// Admission counters: AdmitSlowpath counts effectful submissions that
+	// entered the tree's locked descent. AdmitFastpath counted admissions
+	// of the retired zero-lock path (DESIGN.md §17); nothing writes it any
+	// more, and it stays because the benchmark harness still reads it from
+	// the snapshot.
+	AdmitFastpath atomic.Uint64
+	AdmitSlowpath atomic.Uint64
 
 	// Batched-admission counters (DESIGN.md §12).
 	BatchSubmits  atomic.Uint64 // SubmitBatch calls that reached the scheduler
@@ -280,10 +283,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			return counter("twe_pool_wakeups_total", "Times a parked pool worker was woken to run new work.", s.PoolWakeups)
 		},
 		func() error {
-			return counter("twe_admit_fastpath_total", "Effectful submissions admitted by the lock-free fast path.", s.AdmitFastpath)
-		},
-		func() error {
-			return counter("twe_admit_slowpath_total", "Effectful submissions admitted by the locked slow path.", s.AdmitSlowpath)
+			return counter("twe_admit_slowpath_total", "Effectful submissions admitted through the tree's locked descent.", s.AdmitSlowpath)
 		},
 		func() error {
 			return counter("twe_sched_batch_submits_total", "SubmitBatch calls that reached the scheduler.", s.BatchSubmits)

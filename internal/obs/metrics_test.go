@@ -30,7 +30,6 @@ func TestPrometheusGolden(t *testing.T) {
 	m.PoolSteals.Store(11)
 	m.PoolParks.Store(13)
 	m.PoolWakeups.Store(12)
-	m.AdmitFastpath.Store(40)
 	m.AdmitSlowpath.Store(8)
 	m.BatchSubmits.Store(3)
 	m.BatchTasks.Store(48)
@@ -114,10 +113,7 @@ twe_pool_parks_total 13
 # HELP twe_pool_wakeups_total Times a parked pool worker was woken to run new work.
 # TYPE twe_pool_wakeups_total counter
 twe_pool_wakeups_total 12
-# HELP twe_admit_fastpath_total Effectful submissions admitted by the lock-free fast path.
-# TYPE twe_admit_fastpath_total counter
-twe_admit_fastpath_total 40
-# HELP twe_admit_slowpath_total Effectful submissions admitted by the locked slow path.
+# HELP twe_admit_slowpath_total Effectful submissions admitted through the tree's locked descent.
 # TYPE twe_admit_slowpath_total counter
 twe_admit_slowpath_total 8
 # HELP twe_sched_batch_submits_total SubmitBatch calls that reached the scheduler.

@@ -1,15 +1,16 @@
 // Package sched is the single factory through which binaries and
 // harnesses construct TWE schedulers by name. Every `-sched` flag in
 // cmd/* resolves here, so the set of selectable schedulers — including
-// ablation variants and the §17 lock-free admission configuration — is
-// defined once instead of being re-switched in each main.
+// the ablation variant — is defined once instead of being re-switched in
+// each main.
 //
 // The registry maps a stable name to a constructor:
 //
 //	naive           single-mutex baseline scheduler (DESIGN.md §3)
 //	tree            hierarchical effect-tree scheduler (DESIGN.md §5)
-//	tree-lockfree   tree with the zero-lock admission fast path (§17)
 //	tree-rootmutex  ablation: tree without the §5.5.2 root RW fast path
+//	tree-lockfree   retired name for tree (DESIGN.md §17): the benchmark
+//	                harness's scheduler ladder still launches it
 //
 // Harnesses that need many fresh instances of the same scheduler
 // (differential fuzzing, benchmark sweeps) resolve the name once with
@@ -54,8 +55,8 @@ var registry = map[string]entry{
 		desc: "hierarchical effect-tree scheduler",
 	},
 	"tree-lockfree": {
-		mk:   func() core.Scheduler { return tree.NewLockFree() },
-		desc: "tree scheduler with the zero-lock admission fast path",
+		mk:   func() core.Scheduler { return tree.New() },
+		desc: "retired name for tree, kept because the benchmark's scheduler ladder launches it",
 	},
 	"tree-rootmutex": {
 		mk:   func() core.Scheduler { return tree.NewWithOptions(tree.Options{DisableRootRW: true}) },

@@ -100,10 +100,8 @@ func (f *Failure) Error() string {
 }
 
 // schedulerNames are the runtime schedulers under differential test: the
-// baseline, the tree, and the tree's lock-free admission configuration
-// (the latter so the §17 fast/slow boundary is differentially checked
-// against both locked implementations on every seed).
-var schedulerNames = []string{"naive", "tree", "tree-lockfree"}
+// naive baseline, which serves as the oracle, and the tree.
+var schedulerNames = []string{"naive", "tree"}
 
 // Schedulers returns the names in the differential set, for harness
 // front-ends validating a -sched replay filter.

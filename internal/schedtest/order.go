@@ -10,17 +10,14 @@ import (
 	"twe/internal/effect"
 )
 
-// Admission-order conformance: conflicting, non-prioritized tasks are
-// admitted in Seq order (the contract on core.Scheduler.Submit). Each case
-// queues tasks behind a running blocker whose effect conflicts with some
-// of them but not with all, releases it, and requires every conflicting
-// pair to have started in Seq order. The blocker is what lets a newcomer
-// find no enabled conflict while an elder it conflicts with still waits.
-//
-// RunOrder is separate from Run because the tree-lockfree scheduler's
-// zero-lock fast path bypasses the ordered check and is not held to the
-// contract.
-func RunOrder(t *testing.T, name string, mk Factory) {
+// runOrder is Run's admission-order conformance: conflicting,
+// non-prioritized tasks are admitted in Seq order (the contract on
+// core.Scheduler.Submit). Each case queues tasks behind a running blocker
+// whose effect conflicts with some of them but not with all, releases it,
+// and requires every conflicting pair to have started in Seq order. The
+// blocker is what lets a newcomer find no enabled conflict while an elder
+// it conflicts with still waits.
+func runOrder(t *testing.T, name string, mk Factory) {
 	cases := []struct {
 		name, blocker string
 		effs          []string

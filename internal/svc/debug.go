@@ -41,14 +41,12 @@ type DebugSnapshot struct {
 	QueueDepthPeak int64 `json:"queue_depth_peak"`
 	RespQueued     int   `json:"resp_queued"` // responses owed, summed over live sessions
 
-	// Admit splits effectful admissions between the lock-free fast path
-	// and the locked slow path (DESIGN.md §17); a healthy conflict-free
-	// steady state shows fastpath ≫ slowpath. PoolSteals counts tasks a
-	// pool worker took from a sibling's deque; PoolParks and PoolWakeups
-	// count workers parking idle and being woken for new work, so
-	// wake-ups per op read straight off two scrapes.
+	// Admit.Slowpath counts effectful submissions that entered the tree's
+	// locked descent. PoolSteals counts tasks a pool worker took from a
+	// sibling's deque; PoolParks and PoolWakeups count workers parking
+	// idle and being woken for new work, so wake-ups per op read straight
+	// off two scrapes.
 	Admit struct {
-		Fastpath uint64 `json:"fastpath"`
 		Slowpath uint64 `json:"slowpath"`
 	} `json:"admit"`
 	PoolSteals  uint64 `json:"pool_steals"`
@@ -103,7 +101,6 @@ func (s *Server) DebugSnapshot(topK int) DebugSnapshot {
 	ms := s.tr.Metrics().Snapshot()
 	d.QueueDepth = ms.QueueDepth
 	d.QueueDepthPeak = ms.QueueDepthPeak
-	d.Admit.Fastpath = ms.AdmitFastpath
 	d.Admit.Slowpath = ms.AdmitSlowpath
 	d.PoolSteals = ms.PoolSteals
 	d.PoolParks = ms.PoolParks

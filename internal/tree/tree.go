@@ -119,35 +119,23 @@ func (l *effList) unlink(e *effInst) {
 // sets, its children map, and the enabled/waiters/setIdx fields of effects
 // it contains. The root node of an optimized scheduler uses a read-write
 // lock (§5.5.2): inserts that merely pass through the root take the read
-// lock and look children up in a lock-free concurrent map, so concurrent
-// task submissions do not serialize on the root.
+// lock and look children up in a concurrent map, so concurrent task
+// submissions do not serialize on the root.
 type node struct {
 	mu    sync.Mutex
 	rw    *sync.RWMutex // non-nil only at an RW-optimized root
 	depth int
 	elem  rpl.Elem // edge label from parent; zero at root
-	// children is guarded by the node lock; the RW root — and every node
-	// of a lock-free scheduler — uses childSync instead so lookups are
-	// safe without the exclusive lock.
+	// children is guarded by the node lock; the RW root uses childSync
+	// instead so lookups are safe under its read lock.
 	children  map[rpl.Elem]*node
-	childSync *sync.Map // rpl.Elem → *node; non-nil iff rw != nil or lf
+	childSync *sync.Map // rpl.Elem → *node; non-nil iff rw != nil
 	sets      [numSets]effList
-	// enabledTail counts effects in the two enabled-with-tail sets; at the
-	// RW root a nonzero value forces writers onto the write-lock path
-	// because pass-through effects could conflict with them (§5.5.2). The
-	// lock-free descent (DESIGN.md §17) reads it at every node on the way
-	// to an effect's home.
-	enabledTail atomic.Int32
-
-	// Lock-free admission state (DESIGN.md §17), used only when lf is set.
-	// fast is the epoch-snapshot publication set: an immutable slice of
-	// enabled, fully specified effects living exactly at this node,
-	// replaced wholesale by CAS. enabledNoTail mirrors the size of the two
-	// enabled-no-tail locked sets so the read-only walk can detect locked
-	// residents without taking the lock.
-	lf            bool
-	fast          atomic.Pointer[fastSet]
-	enabledNoTail atomic.Int32
+	// enabledTail counts effects in the two enabled-with-tail sets, under
+	// the node lock; at the RW root a nonzero value forces writers onto the
+	// write-lock path because pass-through effects could conflict with them
+	// (§5.5.2). Only the root's count is read, under its read lock.
+	enabledTail int32
 }
 
 func newNode(depth int, elem rpl.Elem) *node {
@@ -180,14 +168,7 @@ func (n *node) getOrCreateChild(elem rpl.Elem) *node {
 		if c, ok := n.childSync.Load(elem); ok {
 			return c.(*node)
 		}
-		nn := newNode(n.depth+1, elem)
-		if n.lf {
-			// Lock-free schedulers keep the whole tree traversable without
-			// locks: every node gets a concurrent child map.
-			nn.lf = true
-			nn.childSync = new(sync.Map)
-		}
-		c, _ := n.childSync.LoadOrStore(elem, nn)
+		c, _ := n.childSync.LoadOrStore(elem, newNode(n.depth+1, elem))
 		return c.(*node)
 	}
 	if n.children == nil {
@@ -275,9 +256,7 @@ func (n *node) add(e *effInst) {
 	e.setIdx = idx
 	e.node.Store(n)
 	if idx == setEnabledReadTail || idx == setEnabledWriteTail {
-		n.enabledTail.Add(1)
-	} else if idx == setEnabledReadNoTail || idx == setEnabledWriteNoTail {
-		n.enabledNoTail.Add(1)
+		n.enabledTail++
 	}
 }
 
@@ -286,9 +265,7 @@ func (n *node) add(e *effInst) {
 func (n *node) remove(e *effInst) {
 	n.sets[e.setIdx].unlink(e)
 	if e.setIdx == setEnabledReadTail || e.setIdx == setEnabledWriteTail {
-		n.enabledTail.Add(-1)
-	} else if e.setIdx == setEnabledReadNoTail || e.setIdx == setEnabledWriteNoTail {
-		n.enabledNoTail.Add(-1)
+		n.enabledTail--
 	}
 }
 
@@ -313,22 +290,7 @@ type futState struct {
 	// future that stalls repeatedly formats its effects once. Accessed
 	// from whichever goroutine is checking the future, hence atomic.
 	effStr atomic.Pointer[string]
-	// lfState tracks how a lock-free submission settled (DESIGN.md §17):
-	// lfPending while the fast attempt is in flight, lfFast once admitted
-	// by the zero-lock path (effects live in fast sets until captured),
-	// lfSlow once the submission reached the locked path (normal rules).
-	// Deschedule spins on it so a concurrent cancel never races the
-	// publish/retract window. Unused (always lfPending) by the default
-	// locked scheduler.
-	lfState atomic.Int32
 }
-
-// futState.lfState values.
-const (
-	lfPending = int32(iota)
-	lfFast
-	lfSlow
-)
 
 const recheckOffset = int64(1) << 32
 
@@ -351,31 +313,18 @@ type Scheduler struct {
 
 	// Liveness safety net (§5.3.2): if no task is enabled while waiting
 	// tasks exist, prioritize and recheck one arbitrary (oldest) waiter.
-	// liveMu guards waiting; enabledCount is atomic so the lock-free
-	// admission path can settle it without the lock.
+	// liveMu guards waiting; enabledCount is atomic so pure tasks and
+	// Done can settle it without the lock.
 	liveMu       sync.Mutex
 	waiting      map[*core.Future]struct{}
 	enabledCount atomic.Int64
 
-	// Lock-free admission (DESIGN.md §17). lockFree enables the
-	// epoch-snapshot fast path; slowEpoch/slowInflight form the global
-	// guard every locked mutation brackets with slowEnter/slowExit so the
-	// zero-lock walk can validate that no locked admission work overlapped
-	// its read window.
-	lockFree     bool
-	slowEpoch    atomic.Uint64
-	slowInflight atomic.Int64
-
 	// Instrumentation (cheap atomics) for the scalability claims of §5.3:
 	// how many pairwise effect comparisons the scheduler performed, and how
-	// many inserts took the root fast path. fastAdmits/slowAdmits count
-	// effectful submissions admitted with zero lock acquisitions vs the
-	// locked descent (§17).
+	// many inserts took the root fast path.
 	conflictChecks atomic.Int64
 	fastInserts    atomic.Int64
 	slowInserts    atomic.Int64
-	fastAdmits     atomic.Int64
-	slowAdmits     atomic.Int64
 
 	// tracer is the runtime's observability sink (set in Bind; nil when
 	// untraced). The scheduler feeds it conflict-check/hit counters,
@@ -446,11 +395,6 @@ type Stats struct {
 	// FastInserts / SlowInserts count Submit calls that took the §5.5.2
 	// root read-lock fast path vs the write-lock path.
 	FastInserts, SlowInserts int64
-	// FastAdmits / SlowAdmits count effectful submissions admitted by the
-	// §17 zero-lock epoch-snapshot walk vs any locked descent (including
-	// the §5.5.2 read-lock path). FastAdmits is zero unless the scheduler
-	// was built with Options.LockFree.
-	FastAdmits, SlowAdmits int64
 }
 
 // Stats returns the current instrumentation counters.
@@ -459,26 +403,14 @@ func (s *Scheduler) Stats() Stats {
 		ConflictChecks: s.conflictChecks.Load(),
 		FastInserts:    s.fastInserts.Load(),
 		SlowInserts:    s.slowInserts.Load(),
-		FastAdmits:     s.fastAdmits.Load(),
-		SlowAdmits:     s.slowAdmits.Load(),
 	}
 }
 
-// noteAdmit counts k effectful admissions on the fast (zero-lock) or slow
-// (locked) path, in both the local stats and the obs metric families.
-func (s *Scheduler) noteAdmit(fast bool, k int64) {
-	if fast {
-		s.fastAdmits.Add(k)
-	} else {
-		s.slowAdmits.Add(k)
-	}
+// noteAdmit counts k effectful submissions entering the locked descent in
+// the obs metric family.
+func (s *Scheduler) noteAdmit(k int) {
 	if s.tracer != nil {
-		m := s.tracer.Metrics()
-		if fast {
-			m.AdmitFastpath.Add(uint64(k))
-		} else {
-			m.AdmitSlowpath.Add(uint64(k))
-		}
+		s.tracer.Metrics().AdmitSlowpath.Add(uint64(k))
 	}
 }
 
@@ -495,33 +427,21 @@ type Options struct {
 	// and the trace-refinement check must catch it. Never use it to run
 	// real work.
 	UnsafeSkipConflictCheck bool
-	// LockFree enables the §17 epoch-snapshot admission fast path:
-	// conflict-free submissions of fully specified effects admit with zero
-	// lock acquisitions, falling back to the locked descent on a real
-	// conflict or concurrent locked admission work. Implies the root RW
-	// optimization (DisableRootRW is ignored).
-	LockFree bool
 }
 
 // New returns an empty tree scheduler with all optimizations enabled.
 func New() *Scheduler { return NewWithOptions(Options{}) }
 
-// NewLockFree returns a tree scheduler with the §17 lock-free admission
-// fast path enabled (the "tree-lockfree" registry entry).
-func NewLockFree() *Scheduler { return NewWithOptions(Options{LockFree: true}) }
-
 // NewWithOptions returns an empty tree scheduler with explicit options.
 func NewWithOptions(opts Options) *Scheduler {
 	root := newNode(0, rpl.Elem{})
-	if !opts.DisableRootRW || opts.LockFree {
+	if !opts.DisableRootRW {
 		root.rw = new(sync.RWMutex)
 		root.childSync = new(sync.Map)
 	}
-	root.lf = opts.LockFree
 	return &Scheduler{
 		root:                    root,
 		waiting:                 make(map[*core.Future]struct{}),
-		lockFree:                opts.LockFree,
 		unsafeSkipConflictCheck: opts.UnsafeSkipConflictCheck,
 	}
 }
@@ -589,19 +509,8 @@ func (s *Scheduler) Submit(f *core.Future) {
 
 	if len(st.effs) == 0 {
 		// A pure task conflicts with nothing.
-		st.lfState.Store(lfFast)
 		s.enabledCount.Add(1)
 		f.Ready()
-		return
-	}
-
-	if s.lockFree && s.tryFastSubmit(f, st, nil) {
-		// Fully handled: either admitted with zero lock acquisitions (the
-		// task holds an enabled slot, so the liveness net needs no kick
-		// here — its Done runs one), or published, invalidated by
-		// concurrent locked work, and retracted onto the slow path
-		// internally (which reuses the same effect instances so captured
-		// waiters survive).
 		return
 	}
 
@@ -609,13 +518,9 @@ func (s *Scheduler) Submit(f *core.Future) {
 	s.waiting[f] = struct{}{}
 	s.noteDepthLocked()
 	s.liveMu.Unlock()
-	if s.lockFree {
-		st.lfState.Store(lfSlow)
-	}
 
-	s.noteAdmit(false, 1)
+	s.noteAdmit(1)
 	prio := f.Status() == core.Prioritized // the execute optimization, §5.5.1
-	s.slowEnter()
 	if s.root.rw != nil && s.tryFastInsert(st.effs, prio, nil) {
 		s.fastInserts.Add(1)
 	} else {
@@ -623,7 +528,6 @@ func (s *Scheduler) Submit(f *core.Future) {
 		s.root.lock()
 		s.insert(s.root, st.effs, 0, prio, nil)
 	}
-	s.slowExit()
 	s.ensureLiveness()
 }
 
@@ -647,15 +551,6 @@ func (s *Scheduler) Submit(f *core.Future) {
 //     once per submitted task.
 func (s *Scheduler) SubmitBatch(fs []*core.Future) {
 	if len(fs) == 0 {
-		return
-	}
-	if s.lockFree {
-		// §17: strict per-member in-order admission. Each member is checked
-		// against everything already admitted — including earlier members
-		// of this batch — which is literally the one-by-one-in-Seq-order
-		// semantics the BatchScheduler contract asks for, while letting
-		// conflict-free members take the zero-lock fast path.
-		s.submitBatchLockFree(fs)
 		return
 	}
 	// Phase 1: register everything before enabling anything. The group's
@@ -697,13 +592,6 @@ func (s *Scheduler) SubmitBatch(fs []*core.Future) {
 		}
 	}
 	all := refs[:k] // combined, in future-Seq order
-	for i := range states {
-		if len(states[i].effs) == 0 {
-			states[i].lfState.Store(lfFast)
-		} else if s.lockFree {
-			states[i].lfState.Store(lfSlow)
-		}
-	}
 	s.enabledCount.Add(int64(npure))
 	s.liveMu.Lock()
 	for _, f := range work {
@@ -714,11 +602,10 @@ func (s *Scheduler) SubmitBatch(fs []*core.Future) {
 
 	// Phase 2: one descent for the whole group.
 	if len(all) > 0 {
-		s.noteAdmit(false, int64(len(work)))
+		s.noteAdmit(len(work))
 		if s.tracer != nil {
 			s.tracer.Metrics().BatchDescents.Add(uint64(prefixGroups(all)))
 		}
-		s.slowEnter()
 		if s.root.rw != nil && s.tryFastInsert(all, false, &ready) {
 			s.fastInserts.Add(1)
 		} else {
@@ -726,7 +613,6 @@ func (s *Scheduler) SubmitBatch(fs []*core.Future) {
 			s.root.lock()
 			s.insert(s.root, all, 0, false, &ready)
 		}
-		s.slowExit()
 	}
 	core.ReadyBatch(ready)
 	s.ensureLivenessCoalesced()
@@ -766,7 +652,7 @@ func (s *Scheduler) tryFastInsert(effs []*effInst, prio bool, ready *[]*core.Fut
 	}
 	root := s.root
 	root.rw.RLock()
-	if root.enabledTail.Load() != 0 {
+	if root.enabledTail != 0 {
 		// A wildcard effect sits at the root; pass-through inserts must
 		// check against it under the write lock.
 		root.rw.RUnlock()
@@ -806,10 +692,9 @@ func (s *Scheduler) Done(f *core.Future) {
 	}
 	for _, e := range st.effs {
 		// removeEffect takes the waiters inside the same critical section
-		// as the removal (or wins the fast-set CAS, in which case no waiter
-		// can exist): checkAt/checkBelow add waiters only while holding the
-		// node's lock and only for effects still present, so no wakeup can
-		// be lost. With the elder rule a waiting chain hands over one
+		// as the removal: checkAt/checkBelow add waiters only while holding
+		// the node's lock and only for effects still present, so no wakeup
+		// can be lost. With the elder rule a waiting chain hands over one
 		// successor here, not the whole queue.
 		s.recheckWaiters(s.removeEffect(e))
 	}
@@ -830,7 +715,6 @@ func (s *Scheduler) recheckWaiters(waiters []*effInst) {
 	slices.SortFunc(waiters, func(a, b *effInst) int {
 		return cmp.Compare(a.fut.Seq(), b.fut.Seq())
 	})
-	s.slowEnter()
 	for _, w := range waiters {
 		nw := s.lockContainingNode(w)
 		if !w.enabled && w.fut.Status() < core.Done {
@@ -847,7 +731,6 @@ func (s *Scheduler) recheckWaiters(waiters []*effInst) {
 			nw.unlock()
 		}
 	}
-	s.slowExit()
 }
 
 // Deschedule removes a cancelled future that may never have been enabled
@@ -868,17 +751,6 @@ func (s *Scheduler) Deschedule(f *core.Future) {
 	st := stateOf(f)
 	if st == nil {
 		return
-	}
-	if s.lockFree && len(st.effs) > 0 {
-		// Wait out an in-flight lock-free submission: until lfState
-		// settles, effects may be mid-publish (in no set at all) or
-		// mid-retract, and the removal loop below could spin against a
-		// state that is still being decided. After the spin, the effects
-		// are either fast-published (lfFast) or bound for the locked
-		// placement rules (lfSlow), both of which removeEffect handles.
-		for st.lfState.Load() == lfPending {
-			runtime.Gosched()
-		}
 	}
 	var waiters []*effInst
 	s.recheckMu.Lock()
@@ -1046,14 +918,6 @@ func (s *Scheduler) waitOnPending(e *effInst, pending []*effInst) bool {
 func (s *Scheduler) checkAt(n *node, e *effInst, prio bool) bool {
 	// passing-through: e continues below n with a concrete element.
 	passing := e.r.Len() > n.depth && !e.r.Elem(n.depth).IsWildcard()
-	if n.lf && !passing {
-		// §17: fast-set residents live exactly at n with no tail, so only an
-		// effect that stops at n (or continues with a wildcard) can conflict
-		// with one. Capture conflicting residents into the locked no-tail
-		// sets first; the scan below then treats them like any other enabled
-		// resident.
-		s.captureConflictingFast(n, e)
-	}
 	if !prio {
 		if ep := s.youngestElder(n, e); ep != nil {
 			ep.waiters = append(ep.waiters, e)
@@ -1136,11 +1000,6 @@ func (s *Scheduler) checkBelow(n *node, e *effInst, ne *node, prio bool) bool {
 	for _, child := range n.sortedChildren() {
 		child.lock()
 		s.visitNode()
-		if child.lf {
-			// §17: pull conflicting fast-set residents into the locked sets
-			// so the scan below sees them.
-			s.captureConflictingFast(child, e)
-		}
 		conflictFound := s.checkChild(child, e, ne, prio)
 		if !conflictFound {
 			conflictFound = s.checkBelow(child, e, ne, prio)
@@ -1315,9 +1174,6 @@ func (s *Scheduler) recheckTaskLocked(t *core.Future, st *futState) {
 		// effect to the tree after its removal; stand down.
 		return
 	}
-	// A recheck can enable effects, so it is locked admission work the §17
-	// zero-lock walk must observe.
-	s.slowEnter()
 	st.disabled.Add(recheckOffset) // set the rechecking flag
 	for _, e := range st.effs {
 		n := s.lockContainingNode(e)
@@ -1331,7 +1187,6 @@ func (s *Scheduler) recheckTaskLocked(t *core.Future, st *futState) {
 		}
 	}
 	st.disabled.Add(-recheckOffset)
-	s.slowExit()
 }
 
 // recheckEffect re-checks a single disabled effect, moving it down toward
@@ -1367,9 +1222,7 @@ func (s *Scheduler) recheckEffect(e *effInst, n *node, prio bool) {
 // retry is the pseudocode's "if n = null then goto 2": a concurrent
 // Submit has registered the effect but not yet placed it in the tree.
 // NotifyBlocked can still meet that state when it walks a blocker chain
-// onto a task whose submission is in flight, including a lock-free one in
-// its retract window (retractToSlow resets a fast-published effect to nil
-// before the locked insert re-places it). The liveness net never waits
+// onto a task whose submission is in flight. The liveness net never waits
 // here: stalledOldest stands down on a task with an unplaced effect.
 func (s *Scheduler) lockContainingNode(e *effInst) *node {
 	for {
@@ -1445,9 +1298,9 @@ func (s *Scheduler) ensureLivenessCoalesced() {
 // prioritize and recheck, or nil when it has nothing to do: a task is
 // enabled, no task waits, or the oldest waiter is half-submitted.
 //
-// An effect not yet placed in the tree belongs to its submitter: Submit,
-// SubmitBatch and the lock-free retract register the future in waiting
-// before their insert places its effects, check each effect as they place
+// An effect not yet placed in the tree belongs to its submitter: Submit
+// and SubmitBatch register the future in waiting before their insert
+// places its effects, check each effect as they place
 // it, and run the net again afterwards. So when the oldest waiter has an
 // unplaced effect the net returns and leaves that task to its submitter,
 // rather than have lockContainingNode yield under recheckMu until the
@@ -1479,6 +1332,18 @@ func (s *Scheduler) stalledOldest() (*core.Future, *futState) {
 		}
 	}
 	return oldest, st
+}
+
+// removeEffect takes e out of the tree and hands over the waiters
+// registered on it, taken inside the same critical section as the removal
+// (the caller owns the slice).
+func (s *Scheduler) removeEffect(e *effInst) []*effInst {
+	n := s.lockContainingNode(e)
+	n.remove(e)
+	ws := e.waiters
+	e.waiters = nil
+	n.unlock()
+	return ws
 }
 
 // --- introspection (tests, benchmarks) --------------------------------------
@@ -1519,9 +1384,6 @@ func (s *Scheduler) PendingEffects() int {
 			for e := n.sets[i].head; e != nil; e = e.next {
 				total++
 			}
-		}
-		if fs := n.fast.Load(); fs != nil {
-			total += len(*fs) // §17 fast-set residents
 		}
 		kids := n.sortedChildren()
 		n.unlock()
