@@ -61,12 +61,11 @@ go test -race -count=30 -timeout 600s ./internal/core/
 # behind their youngest conflicting elder, so a lost net run or a broken
 # wait chain would be a rare hang or a rare out-of-order admission. Thirty
 # race-built repetitions of the liveness, ordering, chain, conformance and
-# safety-net tests make either a fast failure instead. The conformance
-# suite's admission-order cases also run without the root RW fast path.
+# safety-net tests make either a fast failure instead. The admission-order
+# cases run with and without the root RW fast path.
 echo '== tree stress =='
 t0=$(date +%s)
-go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths' ./internal/tree/
-go test -race -count=30 -timeout 300s -run '^TestConformanceNoRootRW$/tree-noRW/^Order' ./internal/tree/
+go test -race -count=30 -timeout 300s -run 'TestLivenessNetSkipsHalfSubmittedTask|TestLivenessServePattern|^TestConformance$|TestConformanceOrder|TestFairAdmissionOrder|TestPipelineWaitsAsChain|TestYoungPlacedFirstCycleResolves|TestNoEnabledTasksSafetyNet|TestManyFineGrainTasks|TestDescheduleRemovesEffectsAndWakesWaiters|TestQuiescedAfterMixedExitPaths' ./internal/tree/
 echo "tree stress: $(($(date +%s) - t0))s wall"
 
 # Cluster relay stress (DESIGN.md §16): the router flushes forwards once

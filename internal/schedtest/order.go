@@ -10,14 +10,15 @@ import (
 	"twe/internal/effect"
 )
 
-// runOrder is Run's admission-order conformance: conflicting,
+// RunOrder is the admission-order conformance: conflicting,
 // non-prioritized tasks are admitted in Seq order (the contract on
 // core.Scheduler.Submit). Each case queues tasks behind a running blocker
 // whose effect conflicts with some of them but not with all, releases it,
 // and requires every conflicting pair to have started in Seq order. The
 // blocker is what lets a newcomer find no enabled conflict while an elder
-// it conflicts with still waits.
-func runOrder(t *testing.T, name string, mk Factory) {
+// it conflicts with still waits. Every registered scheduler runs it beside
+// Run, as its package's TestConformanceOrder.
+func RunOrder(t *testing.T, name string, mk Factory) {
 	cases := []struct {
 		name, blocker string
 		effs          []string

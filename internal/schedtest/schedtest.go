@@ -51,7 +51,6 @@ func Run(t *testing.T, name string, mk Factory) {
 	t.Run(name+"/DyneffCounterExact", func(t *testing.T) { dyneffCounterExact(t, mk) })
 	t.Run(name+"/DyneffAbortRestoresPreState", func(t *testing.T) { dyneffAbortRestoresPreState(t, mk) })
 	t.Run(name+"/DyneffTransferConservation", func(t *testing.T) { dyneffTransferConservation(t, mk) })
-	runOrder(t, name, mk)
 }
 
 func es(s string) effect.Set { return effect.MustParse(s) }

@@ -19,10 +19,18 @@ func TestConformance(t *testing.T) {
 	schedtest.Run(t, "tree", func() core.Scheduler { return tree.New() })
 }
 
-// TestConformanceNoRootRW re-runs the full conformance suite, admission
-// order included, with the §5.5.2 root read-write-lock optimization
-// disabled (the tree-rootmutex registration), so both code paths stay
-// correct.
+// TestConformanceOrder: conflicting tasks are admitted in Seq order, with
+// and without the root RW fast path (the tree-rootmutex registration).
+func TestConformanceOrder(t *testing.T) {
+	schedtest.RunOrder(t, "tree", func() core.Scheduler { return tree.New() })
+	schedtest.RunOrder(t, "tree-rootmutex", func() core.Scheduler {
+		return tree.NewWithOptions(tree.Options{DisableRootRW: true})
+	})
+}
+
+// TestConformanceNoRootRW re-runs the full conformance suite with the
+// §5.5.2 root read-write-lock optimization disabled, so both code paths
+// stay correct.
 func TestConformanceNoRootRW(t *testing.T) {
 	schedtest.Run(t, "tree-noRW", func() core.Scheduler {
 		return tree.NewWithOptions(tree.Options{DisableRootRW: true})
